@@ -197,7 +197,7 @@ pub const DEFAULT_EFFECTS: EffectConfig<'static> = EffectConfig {
         ("crates/experiments/src/sweep.rs", "sweep_cpus_per_task"),
     ],
     det_allowlist: &DEFAULT_DET_ALLOWLIST,
-    watchdog_roots: &[("crates/core/src/monitor.rs", "sample_inner")],
+    watchdog_roots: &[("crates/core/src/shard.rs", "round_inner")],
     blocking_allowlist: &DEFAULT_BLOCKING_ALLOWLIST,
 };
 
@@ -257,6 +257,12 @@ pub const DEFAULT_ALLOC_ALLOWLIST: [(&str, &str, &str, &str); 31] = [
         "task_status_into",
         "clone",
         "last-good cache, chaos layer",
+    ),
+    (
+        "crates/procfs/src/fault.rs",
+        "task_stat_text",
+        "to_owned",
+        "last-good cache, chaos layer; stale-capable plans only",
     ),
     // Derived `Clone` impls on the view structs — reached only through
     // the fault injector's last-good cache above.
@@ -341,12 +347,6 @@ pub const DEFAULT_ALLOC_ALLOWLIST: [(&str, &str, &str, &str); 31] = [
     // Sharded-ingestion roots (`process_batch`/`fold_reads`): the byte
     // parsers and the batch body only allocate when a read or parse
     // fails — message formatting off the healthy path.
-    (
-        "crates/procfs/src/parse.rs",
-        "parse_task_stat_view_fast",
-        "format!",
-        "parse-error path only",
-    ),
     (
         "crates/procfs/src/parse.rs",
         "parse_task_status_fast",

@@ -24,8 +24,9 @@ use super::Finding;
 
 /// Reachability roots: `(file_suffix, fn_name, why)`.
 ///
-/// * `sample_inner` — everything under the sampling supervisor's
-///   `catch_unwind` in `Monitor::sample`.
+/// * `round_inner` — everything under the sampling supervisor's
+///   `catch_unwind` (`supervised_round`, behind `Monitor::sample` and every
+///   `ShardedMonitor` round).
 /// * `run_crash_flushes`, `report_abnormal_exit`, `crash_report` — the
 ///   abnormal-exit path; a panic here aborts before logs are flushed.
 /// * `write_partial_logs`, `render_process_report` — registered as
@@ -41,8 +42,8 @@ use super::Finding;
 ///   shard's worth of watches.
 pub const PANIC_ROOTS: [(&str, &str, &str); 12] = [
     (
-        "crates/core/src/monitor.rs",
-        "sample_inner",
+        "crates/core/src/shard.rs",
+        "round_inner",
         "sampling supervisor",
     ),
     (

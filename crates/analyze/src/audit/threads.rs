@@ -126,8 +126,11 @@ pub const DEFAULT_THREADS: ThreadConfig<'static> = ThreadConfig {
         ),
         // The node agent's transport turn.
         ("crates/net/src/agent.rs", "tick", "agent"),
-        // The attached sampling thread (spawn-anchored from attach.rs).
-        ("crates/core/src/monitor.rs", "sample", "supervisor"),
+        // `Monitor::sample` drives the one-shard round on its caller's
+        // thread (the attached sampling thread, spawn-anchored from
+        // attach.rs): the same driver role as the N-shard driver, since
+        // both own their monitor's round scratch.
+        ("crates/core/src/monitor.rs", "sample", "driver"),
         // The drill canary: keeps the observed-⊆-static comparison
         // non-vacuous (see audit/drill.rs).
         (
@@ -144,19 +147,14 @@ pub const DEFAULT_THREADS: ThreadConfig<'static> = ThreadConfig {
         ("crates/core/src/shard.rs", "results", "core.shard.out"),
     ],
     scratch: &[
-        // Driver-side fold scratch (mon.scratch.* in the fold fns).
+        // The monitor's round scratch (taken out of `Monitor` for the
+        // round and borrowed by the fold fns). Read arenas are not
+        // listed: each lives in its shard batch and changes hands with
+        // it through the rings.
         (
             "crates/core/src/shard.rs",
             "scratch",
             "core.shard.fold-scratch",
-        ),
-        // Per-shard read arenas (reset/sliced inside run_batch).
-        ("crates/core/src/shard.rs", "arena", "core.shard.arena"),
-        // The serial monitor's sampling scratch.
-        (
-            "crates/core/src/monitor.rs",
-            "scratch",
-            "core.monitor.scratch",
         ),
     ],
     role_touches: &[

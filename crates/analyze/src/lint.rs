@@ -5,7 +5,7 @@
 //!
 //! * **no-panic-hot-path** — `unwrap()` / `expect(` are banned in the
 //!   monitor's per-sample hot paths (`crates/core/src/monitor.rs`,
-//!   `lwp.rs`, `hwt.rs`, `feed.rs`). A monitoring tool must never take
+//!   `shard.rs`, `lwp.rs`, `hwt.rs`, `feed.rs`). A monitoring tool must never take
 //!   down the application it watches (§3.1 of the paper): a malformed
 //!   `/proc` line or a closed channel is data, not a crash.
 //! * **no-print-in-lib** — `println!` / `eprintln!` are banned in
@@ -15,7 +15,8 @@
 //!   stdio is closed, violating rule one transitively.
 //! * **no-source-error-bubble** — bare `?`-propagation of a
 //!   [`ProcSource`](zerosum_proc::ProcSource) read error is banned in
-//!   the monitor's per-sample loop (`crates/core/src/monitor.rs`). A
+//!   the monitor's per-sample round (`crates/core/src/monitor.rs` and
+//!   the pipeline in `shard.rs`). A
 //!   failed `/proc` read is an observation about the observed system —
 //!   it must be routed through the `HealthLedger` (retry, interpolate,
 //!   quarantine), never allowed to abort the whole sample round.
@@ -160,21 +161,23 @@ impl fmt::Display for LintViolation {
 /// `nodes`, and `sup` are one entry per watched rank or node; `tracks`
 /// is one per observed LWP; `changes` is one per governor period
 /// doubling (bounded by the period ceiling); `transitions` is one per
-/// supervision state change; `watched_rss` is per-round scratch reused
-/// across rounds.
-pub const ALLOWED_GROWTH_FIELDS: [&str; 12] = [
+/// supervision state change; `lists` and `plans` are the sampling
+/// round's per-shard job slots, one per watch and one per listed task,
+/// reused across rounds.
+pub const ALLOWED_GROWTH_FIELDS: [&str; 13] = [
     "changes",
     "cpus",
     "gap_times_s",
+    "lists",
     "nodes",
     "peaks",
+    "plans",
     "processes",
     "rss_series",
     "samples",
     "sup",
     "tracks",
     "transitions",
-    "watched_rss",
 ];
 
 /// The trailing `a.b.c`-style path ending at byte `col` of
@@ -318,8 +321,9 @@ fn scan_blanked(rel: &Path, code: &str, rules: &[Rule]) -> Vec<LintViolation> {
 }
 
 /// The monitor hot-path files covered by [`Rule::NoPanicHotPath`].
-const HOT_PATHS: [&str; 4] = [
+const HOT_PATHS: [&str; 5] = [
     "crates/core/src/monitor.rs",
+    "crates/core/src/shard.rs",
     "crates/core/src/lwp.rs",
     "crates/core/src/hwt.rs",
     "crates/core/src/feed.rs",
@@ -327,8 +331,9 @@ const HOT_PATHS: [&str; 4] = [
 
 /// Files holding state that lives as long as the monitor itself,
 /// covered by [`Rule::NoUnboundedGrowthInMonitor`].
-const MONITOR_STATE_PATHS: [&str; 5] = [
+const MONITOR_STATE_PATHS: [&str; 6] = [
     "crates/core/src/monitor.rs",
+    "crates/core/src/shard.rs",
     "crates/core/src/cluster.rs",
     "crates/core/src/lwp.rs",
     "crates/core/src/hwt.rs",
@@ -358,7 +363,7 @@ fn rules_for(rel: &Path) -> Vec<Rule> {
     if MONITOR_STATE_PATHS.contains(&s.as_str()) {
         rules.push(Rule::NoUnboundedGrowthInMonitor);
     }
-    if s == "crates/core/src/monitor.rs" {
+    if s == "crates/core/src/monitor.rs" || s == "crates/core/src/shard.rs" {
         rules.push(Rule::NoSourceErrorBubble);
     }
     if is_library_source(rel) {
@@ -661,8 +666,8 @@ fn observe(&mut self) {
     self.deeply.nested
         .event_log
         .push(1);
-    self.scratch
-        .watched_rss
+    self.watch
+        .rss_series
         .push((1, 2));
 }
 ";

@@ -1,17 +1,19 @@
 //! `zerosum shard-diff` — the sharded-ingestion equivalence gate.
 //!
-//! The sharded sampling engine ([`ShardedMonitor`]) restructures the
-//! monitor's hot loop — per-HWT-group shards, arena-batched reads, the
-//! byte-scanning parsers — while claiming *bit-identical* aggregates to
-//! the serial `Monitor::sample` loop. This module is that claim's CI
-//! gate, in two parts:
+//! Every sampling round runs one plan → read → fold pipeline;
+//! `Monitor::sample` is its one-shard inline case, and the sharded
+//! engine ([`ShardedMonitor`]) splits the same round over N per-HWT-group
+//! shards, inline or on shard threads — claiming *bit-identical*
+//! aggregates whatever the shard count or mode. This module is that
+//! claim's CI gate, in two parts:
 //!
 //! 1. **Seeded differential** ([`run_shard_differential`]): for each
 //!    seed, build a randomized node (topology, rank count, thread
-//!    counts, work durations, affinity layout, shard count, shard mode,
-//!    round cadence all seed-derived), run the same schedule through a
-//!    serial monitor and a sharded one over independent but identically
-//!    constructed simulations, and require the full observable state —
+//!    counts, work durations, affinity layout, shard count, round
+//!    cadence all seed-derived), run the same schedule through
+//!    `Monitor::sample` and through N shards in both modes, each over
+//!    an independent but identically constructed simulation, and
+//!    require the full observable state —
 //!    the published [`SampleSnapshot`], sampling stats, merged health
 //!    ledger, governor and supervisor records, and every watch's RSS
 //!    series / affinity / gone flag — to compare equal, byte for byte
@@ -110,18 +112,17 @@ impl Rng {
     }
 }
 
-/// The seed-derived scenario shape shared by the serial and sharded
+/// The seed-derived scenario shape shared by the one-shard and N-shard
 /// runs of one differential case.
 struct Scenario {
     ranks: u32,
     threads_per_rank: Vec<u32>,
     work_us: Vec<u64>,
     nshards: usize,
-    mode: ShardMode,
     rounds: u64,
     advance_us: u64,
     laptop: bool,
-    /// When nonzero, wrap both engines' sources in an exit-race shim:
+    /// When nonzero, wrap every run's sources in an exit-race shim:
     /// worker tids in residue class 0 mod `vanish_mod` stay listed but
     /// vanish on read — departures inside a round, on every round.
     vanish_mod: u64,
@@ -144,16 +145,15 @@ impl Scenario {
                 60_000_000
             });
         }
+        let nshards = 1 + rng.below(4) as usize; // 1..=4
+                                                 // Both shard modes run on every seed. This draw once picked
+                                                 // one; it stays so every seed keeps its shape.
+        rng.below(4);
         Scenario {
             ranks,
             threads_per_rank,
             work_us,
-            nshards: 1 + rng.below(4) as usize, // 1..=4
-            mode: if rng.below(4) == 0 {
-                ShardMode::Threads
-            } else {
-                ShardMode::Inline
-            },
+            nshards,
             rounds: 4 + rng.below(5), // 4..=8
             advance_us: 150_000 + rng.below(250_000),
             laptop: rng.below(2) == 0,
@@ -175,8 +175,8 @@ impl Scenario {
             String::new()
         };
         format!(
-            "{} ranks×{:?} thr, {} shards, {:?}, {} rounds{vanish}",
-            self.ranks, self.threads_per_rank, self.nshards, self.mode, self.rounds
+            "{} ranks×{:?} thr, {} shards, {} rounds{vanish}",
+            self.ranks, self.threads_per_rank, self.nshards, self.rounds
         )
     }
 
@@ -261,10 +261,10 @@ fn fingerprint(mon: &Monitor) -> String {
 }
 
 /// First line on which two fingerprints differ, for the report.
-fn first_diff(a: &str, b: &str) -> String {
+fn first_diff(a: &str, b: &str, label: &str) -> String {
     for (la, lb) in a.lines().zip(b.lines()) {
         if la != lb {
-            return format!("serial: {la} | sharded: {lb}");
+            return format!("1 shard: {la} | {label}: {lb}");
         }
     }
     format!(
@@ -274,10 +274,10 @@ fn first_diff(a: &str, b: &str) -> String {
     )
 }
 
-/// Runs one seed's serial reference. The exit-race shim is always
-/// layered (modulus 0 is transparent) so both engines read through the
-/// same stack.
-fn run_serial(sc: &Scenario) -> Monitor {
+/// Runs one seed's `Monitor::sample` reference: the one-shard inline
+/// round. The exit-race shim is always layered (modulus 0 is
+/// transparent) so every run reads through the same stack.
+fn run_one_shard(sc: &Scenario) -> Monitor {
     let (mut sim, mut monitor, _) = sc.build();
     for r in 0..sc.rounds {
         sim.run_for(sc.advance_us);
@@ -288,11 +288,12 @@ fn run_serial(sc: &Scenario) -> Monitor {
     monitor
 }
 
-/// Runs one seed's sharded counterpart over an identically built node.
-fn run_sharded(sc: &Scenario) -> Monitor {
+/// Runs one seed's N-shard counterpart in `mode` over an identically
+/// built node.
+fn run_sharded(sc: &Scenario, mode: ShardMode) -> Monitor {
     let (sim, monitor, _) = sc.build();
     let sim = Arc::new(TrackedRw::new("analyze.sharddiff.sim", sim));
-    let mut sharded = ShardedMonitor::new(monitor, sc.nshards, sc.mode);
+    let mut sharded = ShardedMonitor::new(monitor, sc.nshards, mode);
     let shard_sim = Arc::clone(&sim);
     let vanish_mod = sc.vanish_mod;
     sharded.run_rounds(
@@ -308,16 +309,20 @@ fn run_sharded(sc: &Scenario) -> Monitor {
     sharded.into_monitor()
 }
 
-/// The seeded serial-vs-sharded differential over `seeds` seeds.
+/// The seeded one-shard-vs-N-shard differential over `seeds` seeds,
+/// N shards in both inline and threads mode.
 pub fn run_shard_differential(seeds: u64) -> Vec<SeedOutcome> {
     let mut out = Vec::new();
     for seed in 0..seeds {
         let sc = Scenario::derive(seed);
-        let serial = fingerprint(&run_serial(&sc));
-        let sharded = fingerprint(&run_sharded(&sc));
+        let one = fingerprint(&run_one_shard(&sc));
         let mut failures = Vec::new();
-        if serial != sharded {
-            failures.push(first_diff(&serial, &sharded));
+        for mode in [ShardMode::Inline, ShardMode::Threads] {
+            let sharded = fingerprint(&run_sharded(&sc, mode));
+            if one != sharded {
+                let label = format!("{} shards {mode:?}", sc.nshards);
+                failures.push(first_diff(&one, &sharded, &label));
+            }
         }
         out.push(SeedOutcome {
             seed,
@@ -347,7 +352,6 @@ pub fn run_shard_chaos(fault_seed: u64) -> Vec<String> {
         threads_per_rank: vec![2, 3, 2],
         work_us: vec![60_000_000; 3],
         nshards: 3,
-        mode: ShardMode::Inline,
         rounds: 6,
         advance_us: 200_000,
         laptop: false,
@@ -356,7 +360,7 @@ pub fn run_shard_chaos(fault_seed: u64) -> Vec<String> {
     let run = |faulty: bool| -> (Monitor, u64) {
         let (sim, monitor, _) = sc.build();
         let sim = Arc::new(TrackedRw::new("analyze.sharddiff.chaos", sim));
-        let mut sharded = ShardedMonitor::new(monitor, sc.nshards, sc.mode);
+        let mut sharded = ShardedMonitor::new(monitor, sc.nshards, ShardMode::Inline);
         let shard_sim = Arc::clone(&sim);
         let mut faults_fired = 0u64;
         sharded.run_rounds(
@@ -466,9 +470,9 @@ mod tests {
         }
     }
 
-    /// Satellite: a tid listed at `list_tasks` but gone by the shard's
-    /// `stat` read must take the serial loop's departure path — same
-    /// vanish accounting, no errors, bit-identical fingerprints.
+    /// A tid listed at `list_tasks` but gone by the shard's `stat` read
+    /// must take the same departure path whatever the shard count —
+    /// same vanish accounting, no errors, bit-identical fingerprints.
     #[test]
     fn mid_round_departures_diff_identical() {
         let sc = Scenario {
@@ -478,23 +482,22 @@ mod tests {
             // injected exit races.
             work_us: vec![300_000, 60_000_000, 250_000],
             nshards: 3,
-            mode: ShardMode::Inline,
             rounds: 6,
             advance_us: 200_000,
             laptop: true,
             vanish_mod: 3,
         };
-        let serial = run_serial(&sc);
-        let sharded = run_sharded(&sc);
+        let one = run_one_shard(&sc);
+        let sharded = run_sharded(&sc, ShardMode::Inline);
         assert!(
-            serial.stats.vanished > 0,
+            one.stats.vanished > 0,
             "scenario exercised no mid-round departures"
         );
-        assert_eq!(serial.stats.errors, 0, "vanish must never be an error");
+        assert_eq!(one.stats.errors, 0, "vanish must never be an error");
         assert_eq!(
-            fingerprint(&serial),
+            fingerprint(&one),
             fingerprint(&sharded),
-            "departure handling diverged between engines"
+            "departure handling diverged between shard counts"
         );
     }
 

@@ -1068,9 +1068,9 @@ fn run_audit(args: &[String]) -> i32 {
     }
 }
 
-/// `zerosum lint` — run the repo lint pass from the workspace root.
 /// `zerosum shard-diff [--seeds N]` — the sharded-ingestion equivalence
-/// gate: seeded serial-vs-sharded bit-identity differentials plus the
+/// gate: seeded bit-identity differentials of `Monitor::sample` (one
+/// shard) against N shards in inline and threads mode, plus the
 /// one-faulted-shard chaos isolation drill. Exit 0 iff every seed is
 /// identical and the faulted shard stayed contained.
 fn run_shard_diff(args: &[String]) -> i32 {
@@ -1087,6 +1087,10 @@ fn run_shard_diff(args: &[String]) -> i32 {
             },
             "--help" | "-h" => {
                 println!("usage: zerosum shard-diff [--seeds N]");
+                println!(
+                    "seeded differential: Monitor::sample (1 shard) vs N shards, inline and threads"
+                );
+                println!("mode, bit-identical; plus the one-faulted-shard chaos isolation drill");
                 return 0;
             }
             other => {
@@ -1106,6 +1110,7 @@ fn run_shard_diff(args: &[String]) -> i32 {
     }
 }
 
+/// `zerosum lint` — run the repo lint pass from the workspace root.
 fn run_lint() -> i32 {
     let cwd = match std::env::current_dir() {
         Ok(d) => d,

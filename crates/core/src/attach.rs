@@ -85,7 +85,7 @@ impl SelfMonitor {
             std::thread::Builder::new()
                 .name("ZeroSum".to_string())
                 .spawn(move || {
-                    let _role = crate::role::enter("supervisor");
+                    let _role = crate::role::enter("driver");
                     let src = LinuxProc::new();
                     // First sample immediately (initial configuration
                     // detection), then periodically.

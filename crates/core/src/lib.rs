@@ -23,9 +23,10 @@
 //! * [`gpu_link`], [`runner`] — the virtual-time driver coupling the
 //!   monitor to `zerosum-sched`'s node simulation.
 //! * [`attach`] — live self-monitoring of a real process on Linux.
-//! * [`shard`] — sharded zero-contention ingestion: per-HWT-group
-//!   sampling shards over SPSC swap rings, bit-identical to the serial
-//!   loop.
+//! * [`shard`] — the sampling round (plan → read → fold) behind
+//!   [`Monitor::sample`] (one shard, inline) and [`ShardedMonitor`]
+//!   (per-HWT-group shards, inline or over SPSC swap rings), folding to
+//!   bit-identical state whatever the shard count.
 
 #![warn(missing_docs)]
 

@@ -327,9 +327,15 @@ impl LwpRegistry {
         }
     }
 
-    /// Classifies a thread at discovery time.
-    fn classify(&self, tid: Tid, pid: Tid, name: &str) -> (LwpKind, bool) {
-        let is_omp = self.omp_tids.contains(&tid) || name == "OpenMP";
+    /// Classifies a thread at discovery time, and again when an
+    /// unclassified thread renames itself.
+    fn classify(
+        omp_tids: &HashSet<Tid, IntHash>,
+        tid: Tid,
+        pid: Tid,
+        name: &str,
+    ) -> (LwpKind, bool) {
+        let is_omp = omp_tids.contains(&tid) || name == "OpenMP";
         if tid == pid {
             (LwpKind::Main, is_omp)
         } else if name.starts_with("ZeroSum") {
@@ -374,7 +380,7 @@ impl LwpRegistry {
         let idx = match existing {
             Some(i) => i,
             None => {
-                let (kind, is_omp) = self.classify(tid, pid, &status.name);
+                let (kind, is_omp) = Self::classify(&self.omp_tids, tid, pid, &status.name);
                 self.tracks.push(LwpTrack::new(
                     tid,
                     status.name.clone(),
@@ -393,6 +399,17 @@ impl LwpRegistry {
         let Some(track) = self.tracks.get_mut(idx) else {
             return;
         };
+        // Threads often name themselves after they start (Rust std
+        // threads and OpenMP runtimes both do): follow the rename, and
+        // give a still-unclassified thread a second look under its new
+        // name.
+        if track.name != status.name {
+            track.name.clone_from(&status.name);
+            if track.kind == LwpKind::Other {
+                (track.kind, track.is_openmp) =
+                    Self::classify(&self.omp_tids, tid, pid, &status.name);
+            }
+        }
         if track.affinity != status.cpus_allowed {
             track.affinity_changed = true;
             track.affinity = status.cpus_allowed.clone();
@@ -772,6 +789,40 @@ mod tests {
         assert_eq!(fours.len(), 1, "retired incarnation evicted");
         assert!(!fours[0].retired);
         assert_eq!(fours[0].starttime, 99);
+    }
+
+    #[test]
+    fn renamed_worker_is_reclassified_and_keeps_its_series() {
+        let mut reg = LwpRegistry::new();
+        // First seen under the spawning process's comm, before the
+        // thread names itself.
+        reg.observe(
+            1,
+            0.0,
+            &stat(2, 0, 0, 1),
+            &status(2, 1, "live_self_monit", "1", 0, 0),
+        );
+        assert_eq!(reg.track(2).unwrap().kind, LwpKind::Other);
+        reg.observe(
+            1,
+            1.0,
+            &stat(2, 5, 0, 1),
+            &status(2, 1, "OpenMP", "1", 0, 0),
+        );
+        let t = reg.track(2).unwrap();
+        assert_eq!(t.kind, LwpKind::OpenMp);
+        assert!(t.is_openmp);
+        assert_eq!(t.name, "OpenMP");
+        assert_eq!(t.samples.len(), 2, "a rename is not a new task");
+        // A classified thread keeps its kind across renames.
+        reg.observe(
+            1,
+            2.0,
+            &stat(2, 9, 0, 1),
+            &status(2, 1, "worker", "1", 0, 0),
+        );
+        let t = reg.track(2).unwrap();
+        assert_eq!((t.kind, t.name.as_str()), (LwpKind::OpenMp, "worker"));
     }
 
     #[test]

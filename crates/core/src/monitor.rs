@@ -6,18 +6,18 @@
 //! discover LWPs from the task list, read each one's `stat`/`status`,
 //! snapshot `/proc/stat` and `/proc/meminfo` — tolerating races with
 //! exiting threads exactly as a live `/proc` consumer must. The same
-//! code drives the live-Linux backend and the node simulation.
+//! code drives the live-Linux backend and the node simulation: one
+//! round of the plan → read → fold pipeline in [`crate::shard`], run
+//! with a single shard on the calling thread.
 
 use crate::config::{ResilienceConfig, ZeroSumConfig};
-use crate::health::{FailureAction, HealthLedger, ProcessHealth};
+use crate::health::{HealthLedger, ProcessHealth};
 use crate::hwt::HwtTracker;
 use crate::lwp::LwpRegistry;
 use crate::memory::MemoryTracker;
+use crate::shard::SampleScratch;
 use std::collections::HashMap;
-use zerosum_proc::{
-    IntHash, Pid, ProcSource, SchedStat, SourceError, SourceErrorKind, SourceResult, SystemStat,
-    TaskStat, TaskStatus, Tid,
-};
+use zerosum_proc::{IntHash, Pid, ProcSource, SchedStat, SourceErrorKind, SourceResult, Tid};
 use zerosum_stats::Ring;
 use zerosum_topology::CpuSet;
 
@@ -75,11 +75,9 @@ impl ProcessWatch {
         self.last_schedstat.len()
     }
 
-    /// End-of-round lifecycle sweep, shared verbatim by the serial loop
-    /// and the sharded fold — the two engines must stay bit-identical,
-    /// so departure handling lives in exactly one place. Marks unlisted
-    /// tracks exited, prunes per-tid health state and the delta gate
-    /// for departed tids, and bounds the dead-track tail so memory
+    /// End-of-round lifecycle sweep, run by the round's fold. Marks
+    /// unlisted tracks exited, prunes per-tid health state and the delta
+    /// gate for departed tids, and bounds the dead-track tail so memory
     /// under open-system churn stays proportional to concurrent tasks.
     /// `live` must be sorted ascending (task listings already are).
     /// Allocation-free: reachable from the sharded hot path.
@@ -199,20 +197,9 @@ pub struct Monitor {
     /// Live snapshot feed (§3.6): subscribers receive a
     /// [`crate::feed::SampleSnapshot`] after every sample.
     pub feed: crate::feed::SampleFeed,
-    /// Reusable per-round records, overwritten by the `_into` reads —
-    /// the sampling hot path allocates nothing in the steady state.
+    /// Reusable per-round state of the sampling pipeline — the
+    /// sampling hot path allocates nothing in the steady state.
     pub(crate) scratch: SampleScratch,
-}
-
-/// One record of each kind plus the per-round vectors, reused across
-/// rounds.
-#[derive(Debug, Default)]
-pub(crate) struct SampleScratch {
-    pub(crate) sys: SystemStat,
-    pub(crate) tids: Vec<Tid>,
-    pub(crate) stat: TaskStat,
-    pub(crate) status: TaskStatus,
-    pub(crate) watched_rss: Vec<(Pid, u64)>,
 }
 
 impl Monitor {
@@ -282,21 +269,15 @@ impl Monitor {
     }
 
     /// Performs one periodic observation at time `t_s` (seconds since
-    /// monitoring began).
+    /// monitoring began): one round of the sampling pipeline with a
+    /// single shard, on the calling thread.
     ///
-    /// The observation body runs under a supervisor: a panic anywhere in
-    /// the sampling path is caught, recorded as a gap in
+    /// The round runs under a supervisor: a panic anywhere in the
+    /// sampling path is caught, recorded as a gap in
     /// [`Monitor::supervisor`], and sampling resumes at the next period —
     /// the monitor never takes the application down with it (§3.1).
     pub fn sample(&mut self, t_s: f64, src: &dyn ProcSource) {
-        let body = std::panic::AssertUnwindSafe(|| self.sample_inner(t_s, src));
-        if std::panic::catch_unwind(body).is_err() {
-            // `self` may hold a partially-updated round; every tracker
-            // tolerates that (observations are append-only), so restart
-            // amounts to recording the gap and carrying on.
-            self.supervisor.restarts += 1;
-            self.supervisor.gap_times_s.push(t_s);
-        }
+        crate::shard::sample_inline(self, t_s, src);
     }
 
     /// Drains the retry-backoff µs accrued since the last drain. The
@@ -361,168 +342,6 @@ impl Monitor {
         }
         total
     }
-
-    fn sample_inner(&mut self, t_s: f64, src: &dyn ProcSource) {
-        crate::role::touch("core.monitor.scratch");
-        self.stats.rounds += 1;
-        self.last_t_s = t_s;
-        let res = self.config.resilience;
-        let delta_on = self.config.delta_sampling;
-        let max_exited = self.config.max_exited_tracks;
-        // Deadline watchdog: after an overrun, this round sheds per-LWP
-        // detail (worker stat/status reads) to get back under budget.
-        let shed = std::mem::take(&mut self.governor.shed_next);
-        if shed {
-            self.governor.shed_rounds += 1;
-        }
-        match with_retry(
-            &res,
-            &mut self.node_health,
-            &mut self.pending_backoff_us,
-            || src.system_stat_into(&mut self.scratch.sys),
-        ) {
-            Ok(()) => self.hwt.observe(t_s, &self.scratch.sys),
-            Err(_) => self.stats.errors += 1,
-        }
-        self.scratch.watched_rss.clear();
-        for w in &mut self.processes {
-            if w.gone {
-                continue;
-            }
-            let pid = w.info.pid;
-            match with_retry(
-                &res,
-                &mut self.node_health,
-                &mut self.pending_backoff_us,
-                || src.list_tasks_into(pid, &mut self.scratch.tids),
-            ) {
-                Ok(()) => {}
-                Err(SourceError::NotFound) => {
-                    w.gone = true;
-                    self.stats.vanished += 1;
-                    continue;
-                }
-                Err(_) => {
-                    self.stats.errors += 1;
-                    continue;
-                }
-            }
-            for &tid in &self.scratch.tids {
-                if shed && tid != pid {
-                    // Shed round: drop per-LWP detail, keep per-HWT
-                    // totals (system stat), the main thread (RSS), and
-                    // memory.
-                    continue;
-                }
-                if w.health.should_skip(tid) {
-                    // Quarantined after persistent failures; re-probed
-                    // once per `reprobe_after` rounds.
-                    continue;
-                }
-                // schedstat first: it is both the wait-time source and
-                // the delta gate. Optional (CONFIG_SCHED_INFO); absence
-                // is not an error and is never retried.
-                let schedstat = src.task_schedstat(pid, tid).ok();
-                if delta_on && tid != pid {
-                    // Unchanged schedstat ⇒ the thread was never
-                    // dispatched since the last fresh read ⇒ its `stat`
-                    // and `status` are bytewise unchanged; reuse the
-                    // last good pair. The main thread is exempt: it
-                    // carries the process-wide RSS, which moves without
-                    // the thread running.
-                    if let (Some(ss), Some(prev)) = (schedstat, w.last_schedstat.get(&tid)) {
-                        if ss == *prev {
-                            if let Some((stat, status)) = w.health.last_good(tid) {
-                                self.stats.delta_hits += 1;
-                                w.lwps
-                                    .observe_with_schedstat(pid, t_s, stat, status, Some(ss));
-                                continue;
-                            }
-                        }
-                    }
-                }
-                let read = match with_retry(
-                    &res,
-                    &mut w.health.ledger,
-                    &mut self.pending_backoff_us,
-                    || src.task_stat_into(pid, tid, &mut self.scratch.stat),
-                ) {
-                    Ok(()) => with_retry(
-                        &res,
-                        &mut w.health.ledger,
-                        &mut self.pending_backoff_us,
-                        || src.task_status_into(pid, tid, &mut self.scratch.status),
-                    ),
-                    Err(e) => Err(e),
-                };
-                let fresh = match read {
-                    Ok(()) => {
-                        w.health
-                            .record_success(tid, &self.scratch.stat, &self.scratch.status);
-                        if let Some(ss) = schedstat {
-                            w.last_schedstat.insert(tid, ss);
-                        }
-                        true
-                    }
-                    Err(SourceError::NotFound) => {
-                        // Thread exited between the directory listing and
-                        // the read: the normal race of §3.1.1.
-                        self.stats.vanished += 1;
-                        w.health.forget(tid);
-                        w.last_schedstat.remove(&tid);
-                        continue;
-                    }
-                    Err(_) => {
-                        self.stats.errors += 1;
-                        match w.health.record_failure(tid, &res) {
-                            FailureAction::Interpolate(pair) => {
-                                // Degraded: repeat the last good sample so
-                                // the time series stays continuous; the
-                                // ledger flags the substitution.
-                                self.scratch.stat.clone_from(&pair.0);
-                                self.scratch.status.clone_from(&pair.1);
-                                false
-                            }
-                            FailureAction::Drop => continue,
-                        }
-                    }
-                };
-                if tid == pid {
-                    if w.cpus_allowed.is_empty() {
-                        w.cpus_allowed.copy_from(&self.scratch.status.cpus_allowed);
-                    }
-                    w.rss_series.push((t_s, self.scratch.status.vm_rss_kib));
-                    self.scratch
-                        .watched_rss
-                        .push((pid, self.scratch.status.vm_rss_kib));
-                }
-                // Interpolated rounds report no schedstat — a fresh
-                // schedstat against a stale stat would skew wait deltas.
-                let ss = if fresh { schedstat } else { None };
-                w.lwps.observe_with_schedstat(
-                    pid,
-                    t_s,
-                    &self.scratch.stat,
-                    &self.scratch.status,
-                    ss,
-                );
-            }
-            w.finish_round(&self.scratch.tids, max_exited);
-        }
-        match with_retry(
-            &res,
-            &mut self.node_health,
-            &mut self.pending_backoff_us,
-            || src.meminfo(),
-        ) {
-            Ok(mi) => self.mem.observe(t_s, &mi, &self.scratch.watched_rss),
-            Err(_) => self.stats.errors += 1,
-        }
-        if self.feed.subscriber_count() > 0 {
-            let snap = crate::feed::snapshot_of(self);
-            self.feed.publish(snap);
-        }
-    }
 }
 
 /// Runs a source read with bounded retry on transient `Io` failures.
@@ -558,6 +377,182 @@ pub(crate) fn with_retry<T>(
                 }
                 return Err(e);
             }
+        }
+    }
+}
+
+/// The retired serial sampling loop, kept as the oracle the pipeline's
+/// in-crate tests compare against: one watch at a time, the task list
+/// then typed `_into` reads per tid, every decision inline.
+#[cfg(test)]
+pub(crate) mod serial_reference {
+    use super::*;
+    use crate::health::FailureAction;
+    use zerosum_proc::{SourceError, SystemStat, TaskStat, TaskStatus};
+
+    /// One serial round of `mon` at `t_s`, under the same supervisor
+    /// contract as [`Monitor::sample`].
+    pub(crate) fn sample(mon: &mut Monitor, t_s: f64, src: &dyn ProcSource) {
+        let body = std::panic::AssertUnwindSafe(|| sample_inner(mon, t_s, src));
+        if std::panic::catch_unwind(body).is_err() {
+            mon.supervisor.restarts += 1;
+            mon.supervisor.gap_times_s.push(t_s);
+        }
+    }
+
+    fn sample_inner(mon: &mut Monitor, t_s: f64, src: &dyn ProcSource) {
+        let mut sys = SystemStat::default();
+        let mut tids: Vec<Tid> = Vec::new();
+        let mut stat = TaskStat::default();
+        let mut status = TaskStatus::default();
+        let mut watched_rss: Vec<(Pid, u64)> = Vec::new();
+        mon.stats.rounds += 1;
+        mon.last_t_s = t_s;
+        let res = mon.config.resilience;
+        let delta_on = mon.config.delta_sampling;
+        let max_exited = mon.config.max_exited_tracks;
+        // Deadline watchdog: after an overrun, this round sheds per-LWP
+        // detail (worker stat/status reads) to get back under budget.
+        let shed = std::mem::take(&mut mon.governor.shed_next);
+        if shed {
+            mon.governor.shed_rounds += 1;
+        }
+        match with_retry(
+            &res,
+            &mut mon.node_health,
+            &mut mon.pending_backoff_us,
+            || src.system_stat_into(&mut sys),
+        ) {
+            Ok(()) => mon.hwt.observe(t_s, &sys),
+            Err(_) => mon.stats.errors += 1,
+        }
+        for w in &mut mon.processes {
+            if w.gone {
+                continue;
+            }
+            let pid = w.info.pid;
+            match with_retry(
+                &res,
+                &mut mon.node_health,
+                &mut mon.pending_backoff_us,
+                || src.list_tasks_into(pid, &mut tids),
+            ) {
+                Ok(()) => {}
+                Err(SourceError::NotFound) => {
+                    w.gone = true;
+                    mon.stats.vanished += 1;
+                    continue;
+                }
+                Err(_) => {
+                    mon.stats.errors += 1;
+                    continue;
+                }
+            }
+            for &tid in &tids {
+                if shed && tid != pid {
+                    // Shed round: drop per-LWP detail, keep per-HWT
+                    // totals (system stat), the main thread (RSS), and
+                    // memory.
+                    continue;
+                }
+                if w.health.should_skip(tid) {
+                    // Quarantined after persistent failures; re-probed
+                    // once per `reprobe_after` rounds.
+                    continue;
+                }
+                // schedstat first: it is both the wait-time source and
+                // the delta gate. Optional (CONFIG_SCHED_INFO); absence
+                // is not an error and is never retried.
+                let schedstat = src.task_schedstat(pid, tid).ok();
+                if delta_on && tid != pid {
+                    // Unchanged schedstat ⇒ the thread was never
+                    // dispatched since the last fresh read ⇒ its `stat`
+                    // and `status` are bytewise unchanged; reuse the
+                    // last good pair. The main thread is exempt: it
+                    // carries the process-wide RSS, which moves without
+                    // the thread running.
+                    if let (Some(ss), Some(prev)) = (schedstat, w.last_schedstat.get(&tid)) {
+                        if ss == *prev {
+                            if let Some((stat, status)) = w.health.last_good(tid) {
+                                mon.stats.delta_hits += 1;
+                                w.lwps
+                                    .observe_with_schedstat(pid, t_s, stat, status, Some(ss));
+                                continue;
+                            }
+                        }
+                    }
+                }
+                let read = match with_retry(
+                    &res,
+                    &mut w.health.ledger,
+                    &mut mon.pending_backoff_us,
+                    || src.task_stat_into(pid, tid, &mut stat),
+                ) {
+                    Ok(()) => with_retry(
+                        &res,
+                        &mut w.health.ledger,
+                        &mut mon.pending_backoff_us,
+                        || src.task_status_into(pid, tid, &mut status),
+                    ),
+                    Err(e) => Err(e),
+                };
+                let fresh = match read {
+                    Ok(()) => {
+                        w.health.record_success(tid, &stat, &status);
+                        if let Some(ss) = schedstat {
+                            w.last_schedstat.insert(tid, ss);
+                        }
+                        true
+                    }
+                    Err(SourceError::NotFound) => {
+                        // Thread exited between the directory listing and
+                        // the read: the normal race of §3.1.1.
+                        mon.stats.vanished += 1;
+                        w.health.forget(tid);
+                        w.last_schedstat.remove(&tid);
+                        continue;
+                    }
+                    Err(_) => {
+                        mon.stats.errors += 1;
+                        match w.health.record_failure(tid, &res) {
+                            FailureAction::Interpolate(pair) => {
+                                // Degraded: repeat the last good sample so
+                                // the time series stays continuous; the
+                                // ledger flags the substitution.
+                                stat.clone_from(&pair.0);
+                                status.clone_from(&pair.1);
+                                false
+                            }
+                            FailureAction::Drop => continue,
+                        }
+                    }
+                };
+                if tid == pid {
+                    if w.cpus_allowed.is_empty() {
+                        w.cpus_allowed.copy_from(&status.cpus_allowed);
+                    }
+                    w.rss_series.push((t_s, status.vm_rss_kib));
+                    watched_rss.push((pid, status.vm_rss_kib));
+                }
+                // Interpolated rounds report no schedstat — a fresh
+                // schedstat against a stale stat would skew wait deltas.
+                let ss = if fresh { schedstat } else { None };
+                w.lwps.observe_with_schedstat(pid, t_s, &stat, &status, ss);
+            }
+            w.finish_round(&tids, max_exited);
+        }
+        match with_retry(
+            &res,
+            &mut mon.node_health,
+            &mut mon.pending_backoff_us,
+            || src.meminfo(),
+        ) {
+            Ok(mi) => mon.mem.observe(t_s, &mi, &watched_rss),
+            Err(_) => mon.stats.errors += 1,
+        }
+        if mon.feed.subscriber_count() > 0 {
+            let snap = crate::feed::snapshot_of(mon);
+            mon.feed.publish(snap);
         }
     }
 }
@@ -815,6 +810,84 @@ mod tests {
         assert_eq!(mon.stats.rounds, 2);
         let w = mon.process(pid).unwrap();
         assert_eq!(w.lwps.track(pid).unwrap().samples.len(), 1);
+    }
+
+    #[test]
+    fn panic_in_a_task_read_costs_the_watch_not_the_node_reads() {
+        use zerosum_proc::fault::{FaultInjector, FaultKind, FaultPlan, ScriptedFault};
+        let (mut sim, mut mon, pid) = sim_and_monitor();
+        // Call 3 is the main thread's schedstat: inside the shard batch.
+        let inj = FaultInjector::new(FaultPlan {
+            seed: 1,
+            scripted: vec![ScriptedFault {
+                call: 3,
+                kind: FaultKind::Panic,
+            }],
+            ..Default::default()
+        });
+        let prev = std::panic::take_hook();
+        std::panic::set_hook(Box::new(|_| {}));
+        sim.run_for(1_000_000);
+        let src = SimProcSource::new(&sim);
+        mon.sample(1.0, &inj.wrap(&src));
+        std::panic::set_hook(prev);
+        assert_eq!(mon.supervisor.restarts, 1);
+        assert_eq!(mon.supervisor.gap_times_s.as_slice(), [1.0]);
+        // The watch lost the round; `/proc/stat` and `meminfo` did not.
+        assert!(mon.process(pid).unwrap().lwps.is_empty());
+        assert_eq!(mon.mem.samples().len(), 1);
+        sim.run_for(1_000_000);
+        mon.sample(2.0, &SimProcSource::new(&sim));
+        assert_eq!(mon.hwt.sample_count(), 1, "both stat reads observed");
+        assert_eq!(mon.process(pid).unwrap().lwps.len(), 2);
+    }
+
+    #[test]
+    fn pipeline_matches_serial_reference_under_seeded_faults() {
+        use zerosum_proc::fault::{FaultInjector, FaultPlan, FaultRates};
+        // One watch: the pipeline issues source calls in the serial
+        // loop's order, so one seeded schedule drives both identically.
+        let plan = || FaultPlan {
+            seed: 77,
+            default_rates: FaultRates {
+                io_transient: 0.05,
+                not_found: 0.02,
+                malformed: 0.03,
+                stale: 0.05,
+                denied: 0.01,
+                ..Default::default()
+            },
+            ..Default::default()
+        };
+        let run = |sample: fn(&mut Monitor, f64, &dyn ProcSource)| {
+            let (mut sim, mut mon, _) = sim_and_monitor();
+            mon.config.resilience.quarantine_after = 2;
+            let rx = mon.feed.subscribe(32);
+            let inj = FaultInjector::new(plan());
+            for round in 1..=12u64 {
+                sim.run_for(500_000);
+                let src = SimProcSource::new(&sim);
+                sample(&mut mon, round as f64, &inj.wrap(&src));
+            }
+            let snaps: Vec<_> = rx.try_iter().map(|s| (*s).clone()).collect();
+            let w = &mon.processes()[0];
+            let series: Vec<_> = w
+                .lwps
+                .tracks()
+                .map(|t| t.samples.as_slice().to_vec())
+                .collect();
+            (
+                format!("{:?} {:?}", mon.stats, mon.health_total()),
+                snaps,
+                series,
+                w.rss_series.as_slice().to_vec(),
+                inj.log().len(),
+            )
+        };
+        let serial = run(serial_reference::sample);
+        let pipeline = run(|m, t, s| m.sample(t, s));
+        assert!(serial.0.contains("errors: "), "{}", serial.0);
+        assert_eq!(serial, pipeline);
     }
 
     #[test]

@@ -1,28 +1,29 @@
-//! Sharded zero-contention ingestion: per-HWT-group sampling shards.
+//! The sampling round: plan → read → fold, over one or N shards.
 //!
-//! The serial monitor ([`Monitor::sample`]) walks every watched LWP from
-//! one thread. At high watch counts that single loop is the scaling
-//! bottleneck for the paper's <0.5% overhead budget (§3.1): every
-//! `stat`/`status` read, parse, and series fold is serialized. This
-//! module restructures one sampling round into *shards*:
+//! Every sampling round — [`Monitor::sample`] and [`ShardedMonitor`]
+//! alike — runs the pipeline in this module. `Monitor::sample` is its
+//! one-shard inline case: the whole round on the calling thread.
+//! `ShardedMonitor` adds what N shards need on top: per-shard sources,
+//! the watch assignment, and (in [`ShardMode::Threads`]) the dispatch
+//! of batches to shard threads.
 //!
 //! * Watched processes are partitioned into per-HWT-group slices —
 //!   contiguous runs of the watch list ordered by first allowed CPU —
 //!   so each shard samples processes whose threads share hardware
 //!   threads (cache- and NUMA-friendly on a live node).
 //! * Each shard is a single-writer sampling pump: it reads task lists,
-//!   `schedstat`, and raw `stat`/`status` text into a private
+//!   `schedstat`, and raw `stat`/`status` text into its batch's
 //!   [`ReadArena`], parses with the byte-scanning fast path
 //!   ([`parse::parse_task_stat_view_fast`]), and hands completed batches
-//!   to the driver over a bounded SPSC swap ring
-//!   ([`zerosum_stats::ShardRing`]). Buffers recycle through the ring;
-//!   the steady state allocates nothing.
-//! * One driver thread plans rounds and folds results into the existing
-//!   monitor state (series, ledgers, governor) in canonical watch
-//!   order. Parse (shard side) and fold (driver side) never touch the
-//!   same lock: the only shared state is the ring slots themselves and,
-//!   for the simulated substrate, a reader-writer lock the shards only
-//!   ever read while the driver only writes strictly between rounds.
+//!   back to the driver — in place (inline) or over a bounded SPSC swap
+//!   ring ([`zerosum_stats::ShardRing`]). Buffers recycle; the steady
+//!   state allocates nothing.
+//! * One driver thread plans rounds and folds results into the monitor
+//!   state (series, ledgers, governor) in canonical watch order. Parse
+//!   (shard side) and fold (driver side) never touch the same lock: the
+//!   only shared state is the ring slots themselves and, for the
+//!   simulated substrate, a reader-writer lock the shards only ever
+//!   read while the driver only writes strictly between rounds.
 //!
 //! A round is two trips through the shards:
 //!
@@ -34,17 +35,19 @@
 //!    compare, then raw-text `stat`/`status` into the arena — recording
 //!    outcomes into per-task slots with a zeroed local health ledger.
 //! 4. The driver folds the slots in canonical watch order: series
-//!    observations, health accounting, RSS, and the snapshot feed —
-//!    exactly the statements the serial loop would have run.
+//!    observations, health accounting, RSS, and the snapshot feed.
 //!
-//! Every per-round counter is a sum, every fold is applied in the
-//! serial loop's order, and the shard-side parser is proven equivalent
-//! to the owning parser — so a sharded round is *bit-identical* to a
-//! serial round over the same substrate (the differential harness in
-//! `zerosum-analyze` asserts this over seeds). A panic inside a shard
-//! batch is caught at the batch boundary: the affected shard's watches
-//! lose one round (recorded as a supervisor gap), other shards' results
-//! fold normally — fault isolation the serial loop cannot offer.
+//! Source calls therefore run in the order: `/proc/stat`, every task
+//! list, the per-task reads watch by watch, `/proc/meminfo`.
+//!
+//! Every per-round counter is a sum and every fold runs in canonical
+//! watch order, so a round folds to *bit-identical* state whatever the
+//! shard count or mode (the differential harness in `zerosum-analyze`
+//! asserts this over seeds, and the in-crate tests compare against the
+//! retired serial loop kept as a test oracle). A panic inside a shard
+//! batch is caught at the batch boundary: that shard's watches lose
+//! one round (recorded as a supervisor gap), other shards' results and
+//! the node-scope reads fold normally.
 
 use crate::health::{FailureAction, HealthLedger};
 use crate::monitor::{with_retry, Monitor};
@@ -54,19 +57,15 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, PoisonError};
 use zerosum_proc::fault::FaultInjector;
 use zerosum_proc::{
-    parse, LinuxProc, Pid, ProcSource, ReadArena, SchedStat, SourceError, SourceResult, TaskStat,
-    TaskStatus, Tid,
+    parse, LinuxProc, Pid, ProcSource, ReadArena, SchedStat, SourceError, SourceResult, SystemStat,
+    TaskStat, TaskStatus, Tid,
 };
 use zerosum_sched::{NodeSim, SimProcSource};
 use zerosum_stats::{ShardReader, ShardRing, ShardWriter};
 
 /// How shard pumps execute.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ShardMode {
-    /// Pick [`ShardMode::Threads`] when the host has ≥2 hardware
-    /// threads available, [`ShardMode::Inline`] otherwise.
-    #[default]
-    Auto,
     /// Run every shard's pump on the driver thread. Same batch code,
     /// same rings-free data flow, no thread overhead — the right choice
     /// on oversubscribed or single-CPU hosts.
@@ -83,9 +82,17 @@ pub enum ShardMode {
 /// batch's reads to one borrow so sharing stays explicit: the simulated
 /// implementation holds a read lock exactly for the duration of one
 /// batch, and the engine never touches a ring inside that scope.
-pub trait ShardSource: Send {
+pub trait ShardSource {
     /// Runs `f` against a `ProcSource` view of the substrate.
     fn with_source<R>(&mut self, f: impl FnOnce(&dyn ProcSource) -> R) -> R;
+}
+
+/// A borrowed source is its own shard handle: the one-shard inline
+/// round of [`Monitor::sample`] reads through it directly.
+impl ShardSource for &dyn ProcSource {
+    fn with_source<R>(&mut self, f: impl FnOnce(&dyn ProcSource) -> R) -> R {
+        f(*self)
+    }
 }
 
 /// Shard handle onto a shared [`NodeSim`]: every batch samples under a
@@ -176,7 +183,7 @@ impl<S: ShardSource> ShardSource for FaultyShardSource<S> {
 /// in a fixed residue class vanish (`NotFound`) on every read while
 /// staying listed, via [`zerosum_proc::ExitRace`]. Unlike
 /// [`FaultyShardSource`], the fault surface is stateless and
-/// call-order independent, so the serial and sharded engines see the
+/// call-order independent, so one-shard and N-shard rounds see the
 /// *identical* races — which is what lets the shard differential
 /// exercise mid-round departures on both sides and still demand
 /// bit-identical outcomes. Modulus 0 is fully transparent.
@@ -291,9 +298,10 @@ struct WatchReadSlot {
 }
 
 /// Everything one shard needs for one trip: jobs out, results back, in
-/// the same allocation. Batches recycle through the rings (threads
-/// mode) or sit in place (inline mode); after warm-up no trip
-/// allocates.
+/// the same allocation, plus the arena the trip's raw text lands in.
+/// Batches recycle through the rings (threads mode) or sit in place
+/// (inline mode); whoever holds a batch owns its arena, and after
+/// warm-up no trip allocates.
 #[derive(Debug, Default)]
 struct ShardBatch {
     phase: Phase,
@@ -310,6 +318,23 @@ struct ShardBatch {
     lists_used: usize,
     reads: Vec<WatchReadSlot>,
     reads_used: usize,
+    arena: ReadArena,
+}
+
+/// The monitor's per-round scratch, reused across rounds: the node
+/// `stat` record, the watched-RSS list, one batch per shard, the watch
+/// assignment and the fold cursors. Taken out of the monitor for the
+/// duration of a round, so the fold can borrow both.
+#[derive(Debug, Default)]
+pub(crate) struct SampleScratch {
+    sys: SystemStat,
+    watched_rss: Vec<(Pid, u64)>,
+    batches: Vec<ShardBatch>,
+    /// Watch index -> shard, rebuilt every round (see `build_assignment`).
+    assign: Vec<usize>,
+    order: Vec<usize>,
+    cur_a: Vec<usize>,
+    cur_b: Vec<usize>,
 }
 
 /// Ring type used between the driver and one shard thread. The slots
@@ -329,37 +354,24 @@ fn batch_ring(name: &'static str) -> BatchRing {
 /// by per-HWT-group shards.
 ///
 /// The monitor inside is untouched state-wise — reports, exports, the
-/// governor, and the feed all read it exactly as they would a serially
-/// sampled one, and a sharded round folds to bit-identical state.
+/// governor, and the feed all read it exactly as they would one sampled
+/// by [`Monitor::sample`], and an N-shard round folds to bit-identical
+/// state.
 #[derive(Debug)]
 pub struct ShardedMonitor {
     monitor: Monitor,
     nshards: usize,
     mode: ShardMode,
-    batches: Vec<ShardBatch>,
-    arenas: Vec<ReadArena>,
-    /// Watch index -> shard, rebuilt every round (see `build_assignment`).
-    assign: Vec<usize>,
-    order: Vec<usize>,
-    cur_a: Vec<usize>,
-    cur_b: Vec<usize>,
 }
 
 impl ShardedMonitor {
     /// Wraps `monitor` for sharded sampling with `nshards` shards
     /// (clamped to ≥1).
     pub fn new(monitor: Monitor, nshards: usize, mode: ShardMode) -> Self {
-        let nshards = nshards.max(1);
         ShardedMonitor {
             monitor,
-            nshards,
+            nshards: nshards.max(1),
             mode,
-            batches: (0..nshards).map(|_| ShardBatch::default()).collect(),
-            arenas: (0..nshards).map(|_| ReadArena::new()).collect(),
-            assign: Vec::new(),
-            order: Vec::new(),
-            cur_a: Vec::new(),
-            cur_b: Vec::new(),
         }
     }
 
@@ -384,23 +396,6 @@ impl ShardedMonitor {
         self.nshards
     }
 
-    /// The execution mode [`ShardMode::Auto`] resolves to on this host.
-    pub fn effective_mode(&self) -> ShardMode {
-        match self.mode {
-            ShardMode::Auto => {
-                let cpus = std::thread::available_parallelism()
-                    .map(|n| n.get())
-                    .unwrap_or(1);
-                if cpus >= 2 {
-                    ShardMode::Threads
-                } else {
-                    ShardMode::Inline
-                }
-            }
-            m => m,
-        }
-    }
-
     /// Runs `rounds` sampling rounds.
     ///
     /// `make_source(i)` builds shard `i`'s source handle for
@@ -411,15 +406,15 @@ impl ShardedMonitor {
     /// the only place the substrate may be advanced (e.g. under the sim
     /// lock's write guard), because no shard holds a read borrow
     /// between rounds.
-    pub fn run_rounds<S: ShardSource>(
+    pub fn run_rounds<S: ShardSource + Send>(
         &mut self,
         mut make_source: impl FnMut(usize) -> S,
         rounds: u64,
         mut advance_time: impl FnMut(u64) -> f64,
     ) {
-        match self.effective_mode() {
+        match self.mode {
+            ShardMode::Inline => self.run_inline(&mut make_source, rounds, &mut advance_time),
             ShardMode::Threads => self.run_threads(&mut make_source, rounds, &mut advance_time),
-            _ => self.run_inline(&mut make_source, rounds, &mut advance_time),
         }
     }
 
@@ -433,19 +428,17 @@ impl ShardedMonitor {
         let mut driver_src = make_source(self.nshards);
         for r in 0..rounds {
             let t_s = advance_time(r);
-            self.round(t_s, &mut driver_src, |batches, arenas| {
-                for ((batch, arena), source) in batches
-                    .iter_mut()
-                    .zip(arenas.iter_mut())
-                    .zip(sources.iter_mut())
-                {
-                    process_batch(batch, source, arena);
-                }
-            });
+            supervised_round(
+                &mut self.monitor,
+                self.nshards,
+                t_s,
+                &mut driver_src,
+                |batches| dispatch_inline(batches, &mut sources),
+            );
         }
     }
 
-    fn run_threads<S: ShardSource>(
+    fn run_threads<S: ShardSource + Send>(
         &mut self,
         make_source: &mut impl FnMut(usize) -> S,
         rounds: u64,
@@ -484,52 +477,58 @@ impl ShardedMonitor {
             }
             for r in 0..rounds {
                 let t_s = advance_time(r);
-                self.round(t_s, &mut driver_src, |batches, _arenas| {
-                    // Dispatch: swap each shard's batch into its job
-                    // ring (the swap leaves a recycled batch behind as
-                    // the staging buffer for the result) and wake the
-                    // pump.
-                    crate::role::touch("core.shard.job.writer");
-                    let mut remaining = 0usize;
-                    for (((batch, jw), worker), flag) in batches
-                        .iter_mut()
-                        .zip(jobs_w.iter_mut())
-                        .zip(workers.iter())
-                        .zip(done_flags.iter_mut())
-                    {
-                        // Capacity 2 with at most one job in flight:
-                        // the push cannot fail; treat failure as
-                        // "nothing to wait for" so the driver can
-                        // never deadlock on its own invariant.
-                        *flag = !jw.try_push_swap(batch);
-                        if !*flag {
-                            worker.thread().unpark();
-                            remaining += 1;
-                        }
-                    }
-                    // Collect: pop each result back into the staging
-                    // slot. Parking is race-free — pumps unpark the
-                    // driver after every push, and a stored token makes
-                    // a park after a missed wake return immediately.
-                    crate::role::touch("core.shard.out.reader");
-                    while remaining > 0 {
-                        let mut progressed = false;
-                        for ((batch, or), flag) in batches
+                supervised_round(
+                    &mut self.monitor,
+                    nshards,
+                    t_s,
+                    &mut driver_src,
+                    |batches| {
+                        // Dispatch: swap each shard's batch into its job
+                        // ring (the swap leaves a recycled batch behind as
+                        // the staging buffer for the result) and wake the
+                        // pump.
+                        crate::role::touch("core.shard.job.writer");
+                        let mut remaining = 0usize;
+                        for (((batch, jw), worker), flag) in batches
                             .iter_mut()
-                            .zip(outs_r.iter_mut())
+                            .zip(jobs_w.iter_mut())
+                            .zip(workers.iter())
                             .zip(done_flags.iter_mut())
                         {
-                            if !*flag && or.try_pop_swap(batch) {
-                                *flag = true;
-                                remaining -= 1;
-                                progressed = true;
+                            // Capacity 2 with at most one job in flight:
+                            // the push cannot fail; treat failure as
+                            // "nothing to wait for" so the driver can
+                            // never deadlock on its own invariant.
+                            *flag = !jw.try_push_swap(batch);
+                            if !*flag {
+                                worker.thread().unpark();
+                                remaining += 1;
                             }
                         }
-                        if remaining > 0 && !progressed {
-                            std::thread::park();
+                        // Collect: pop each result back into the staging
+                        // slot. Parking is race-free — pumps unpark the
+                        // driver after every push, and a stored token makes
+                        // a park after a missed wake return immediately.
+                        crate::role::touch("core.shard.out.reader");
+                        while remaining > 0 {
+                            let mut progressed = false;
+                            for ((batch, or), flag) in batches
+                                .iter_mut()
+                                .zip(outs_r.iter_mut())
+                                .zip(done_flags.iter_mut())
+                            {
+                                if !*flag && or.try_pop_swap(batch) {
+                                    *flag = true;
+                                    remaining -= 1;
+                                    progressed = true;
+                                }
+                            }
+                            if remaining > 0 && !progressed {
+                                std::thread::park();
+                            }
                         }
-                    }
-                });
+                    },
+                );
             }
             stop.store(true, Ordering::Release);
             for w in workers.iter() {
@@ -537,50 +536,76 @@ impl ShardedMonitor {
             }
         });
     }
+}
 
-    /// One full round under the sampling supervisor: a driver-side
-    /// panic is recorded as a gap exactly like [`Monitor::sample`]'s.
-    /// (Shard-side panics never reach here — they are caught per batch
-    /// and recorded per shard at fold.)
-    fn round<S: ShardSource>(
-        &mut self,
-        t_s: f64,
-        driver_src: &mut S,
-        mut dispatch: impl FnMut(&mut [ShardBatch], &mut [ReadArena]),
-    ) {
-        let body = AssertUnwindSafe(|| self.round_inner(t_s, driver_src, &mut dispatch));
-        if std::panic::catch_unwind(body).is_err() {
-            self.monitor.supervisor.restarts += 1;
-            self.monitor.supervisor.gap_times_s.push(t_s);
-        }
-    }
+/// The one-shard inline round behind [`Monitor::sample`]: the whole
+/// pipeline on the calling thread, every read through `src`.
+pub(crate) fn sample_inline(mon: &mut Monitor, t_s: f64, src: &dyn ProcSource) {
+    let (mut driver, mut shard) = (src, [src]);
+    supervised_round(mon, 1, t_s, &mut driver, |batches| {
+        dispatch_inline(batches, &mut shard)
+    });
+}
 
-    fn round_inner<S: ShardSource>(
-        &mut self,
-        t_s: f64,
-        driver_src: &mut S,
-        dispatch: &mut impl FnMut(&mut [ShardBatch], &mut [ReadArena]),
-    ) {
-        let Self {
-            monitor,
-            nshards,
-            batches,
-            arenas,
-            assign,
-            order,
-            cur_a,
-            cur_b,
-            ..
-        } = self;
-        let shed = round_begin(monitor, t_s, driver_src);
-        build_assignment(monitor, assign, order, *nshards);
-        build_list_jobs(monitor, batches, assign);
-        dispatch(batches, arenas);
-        fold_lists_and_plan(monitor, batches, assign, cur_a, shed, t_s);
-        dispatch(batches, arenas);
-        fold_reads(monitor, batches, assign, cur_a, cur_b, t_s);
-        round_end(monitor, t_s, driver_src);
+/// Inline dispatch: every shard's pump runs on the driver thread.
+fn dispatch_inline<S: ShardSource>(batches: &mut [ShardBatch], sources: &mut [S]) {
+    for (batch, source) in batches.iter_mut().zip(sources.iter_mut()) {
+        process_batch(batch, source);
     }
+}
+
+/// One full round under the sampling supervisor. `trip` carries the
+/// batches through the shards once (inline or over the rings); it runs
+/// twice per round, for the list and the read trip. A panic anywhere on
+/// the driver side is caught, recorded as a gap in
+/// [`Monitor::supervisor`], and sampling resumes at the next period —
+/// the monitor never takes the application down with it (§3.1).
+/// (Shard-side panics never reach here — they are caught per batch
+/// and recorded per shard at fold.)
+fn supervised_round<S: ShardSource>(
+    mon: &mut Monitor,
+    nshards: usize,
+    t_s: f64,
+    driver_src: &mut S,
+    mut trip: impl FnMut(&mut [ShardBatch]),
+) {
+    let mut scratch = std::mem::take(&mut mon.scratch);
+    scratch.batches.resize_with(nshards, ShardBatch::default);
+    let body = AssertUnwindSafe(|| round_inner(mon, &mut scratch, t_s, driver_src, &mut trip));
+    if std::panic::catch_unwind(body).is_err() {
+        // `mon` may hold a partially-updated round; every tracker
+        // tolerates that (observations are append-only), so restart
+        // amounts to recording the gap and carrying on.
+        mon.supervisor.restarts += 1;
+        mon.supervisor.gap_times_s.push(t_s);
+    }
+    mon.scratch = scratch;
+}
+
+fn round_inner<S: ShardSource>(
+    mon: &mut Monitor,
+    scratch: &mut SampleScratch,
+    t_s: f64,
+    driver_src: &mut S,
+    trip: &mut impl FnMut(&mut [ShardBatch]),
+) {
+    let shed = round_begin(mon, scratch, t_s, driver_src);
+    let SampleScratch {
+        watched_rss,
+        batches,
+        assign,
+        order,
+        cur_a,
+        cur_b,
+        ..
+    } = scratch;
+    build_assignment(mon, assign, order, batches.len());
+    build_list_jobs(mon, batches, assign);
+    trip(batches);
+    fold_lists_and_plan(mon, batches, assign, cur_a, shed, t_s);
+    trip(batches);
+    fold_reads(mon, batches, assign, cur_a, cur_b, watched_rss, t_s);
+    round_end(mon, watched_rss, t_s, driver_src);
 }
 
 /// Shard thread body: drain jobs, pump each batch, hand the result
@@ -596,14 +621,12 @@ fn shard_loop<S: ShardSource>(
     let _role = crate::role::enter("shard-pump");
     crate::role::touch("core.shard.job.reader");
     crate::role::touch("core.shard.out.writer");
-    crate::role::touch("core.shard.arena");
     let mut local = ShardBatch::default();
-    let mut arena = ReadArena::new();
     loop {
         let mut worked = false;
         while jobs.try_pop_swap(&mut local) {
             worked = true;
-            process_batch(&mut local, &mut source, &mut arena);
+            process_batch(&mut local, &mut source);
             while !results.try_push_swap(&mut local) {
                 // Unreachable under the ≤1-in-flight invariant; yield
                 // rather than assume it.
@@ -624,28 +647,32 @@ fn shard_loop<S: ShardSource>(
 /// anywhere in the batch body (a poisoned substrate, an injected
 /// `FaultKind::Panic`) marks the batch instead of unwinding the pump —
 /// the driver records the gap and other shards are unaffected.
-fn process_batch<S: ShardSource>(batch: &mut ShardBatch, source: &mut S, arena: &mut ReadArena) {
-    let body = AssertUnwindSafe(|| run_batch(batch, source, arena));
+fn process_batch<S: ShardSource>(batch: &mut ShardBatch, source: &mut S) {
+    let body = AssertUnwindSafe(|| run_batch(batch, source));
     if std::panic::catch_unwind(body).is_err() {
         batch.panicked = true;
     }
 }
 
 /// The batch body: one trip's reads for one shard.
-fn run_batch<S: ShardSource>(batch: &mut ShardBatch, source: &mut S, arena: &mut ReadArena) {
+fn run_batch<S: ShardSource>(batch: &mut ShardBatch, source: &mut S) {
+    let ShardBatch {
+        phase,
+        res,
+        node_ledger,
+        backoff_us,
+        lists,
+        lists_used,
+        reads,
+        reads_used,
+        arena,
+        ..
+    } = batch;
     arena.reset();
-    match batch.phase {
+    match phase {
         Phase::Idle => {}
         Phase::List => {
             source.with_source(|src| {
-                let ShardBatch {
-                    lists,
-                    lists_used,
-                    node_ledger,
-                    backoff_us,
-                    res,
-                    ..
-                } = batch;
                 for ls in lists.iter_mut().take(*lists_used) {
                     let pid = ls.pid;
                     let tids = &mut ls.tids;
@@ -657,13 +684,6 @@ fn run_batch<S: ShardSource>(batch: &mut ShardBatch, source: &mut S, arena: &mut
         }
         Phase::Read => {
             source.with_source(|src| {
-                let ShardBatch {
-                    reads,
-                    reads_used,
-                    backoff_us,
-                    res,
-                    ..
-                } = batch;
                 for ws in reads.iter_mut().take(*reads_used) {
                     let pid = ws.pid;
                     let WatchReadSlot {
@@ -685,9 +705,13 @@ fn run_batch<S: ShardSource>(batch: &mut ShardBatch, source: &mut S, arena: &mut
                         let tid = plan.tid;
                         slot.tid = tid;
                         // schedstat first: wait-time source and delta
-                        // gate; optional, never retried.
+                        // gate; optional (CONFIG_SCHED_INFO), never
+                        // retried.
                         slot.ss = src.task_schedstat(pid, tid).ok();
                         if let (Some(prev), Some(ss)) = (plan.delta_prev, slot.ss) {
+                            // Unchanged schedstat ⇒ never dispatched
+                            // since the last fresh read ⇒ `stat` and
+                            // `status` are unchanged.
                             if prev == ss {
                                 slot.kind = ReadKind::DeltaHit;
                                 continue;
@@ -737,35 +761,42 @@ fn run_batch<S: ShardSource>(batch: &mut ShardBatch, source: &mut S, arena: &mut
     }
 }
 
-/// Round prologue: counters, the shed decision, node `stat`, exactly as
-/// the serial loop's opening statements.
-fn round_begin<S: ShardSource>(mon: &mut Monitor, t_s: f64, src: &mut S) -> bool {
+/// Round prologue: counters, the shed decision, node `stat`.
+fn round_begin<S: ShardSource>(
+    mon: &mut Monitor,
+    scratch: &mut SampleScratch,
+    t_s: f64,
+    src: &mut S,
+) -> bool {
     crate::role::touch("core.shard.fold-scratch");
     mon.stats.rounds += 1;
     mon.last_t_s = t_s;
     let res = mon.config.resilience;
+    // Deadline watchdog: after an overrun, this round sheds per-LWP
+    // detail (worker stat/status reads) to get back under budget.
     let shed = std::mem::take(&mut mon.governor.shed_next);
     if shed {
         mon.governor.shed_rounds += 1;
     }
+    let sys = &mut scratch.sys;
     let read = src.with_source(|s| {
         with_retry(
             &res,
             &mut mon.node_health,
             &mut mon.pending_backoff_us,
-            || s.system_stat_into(&mut mon.scratch.sys),
+            || s.system_stat_into(sys),
         )
     });
     match read {
-        Ok(()) => mon.hwt.observe(t_s, &mon.scratch.sys),
+        Ok(()) => mon.hwt.observe(t_s, sys),
         Err(_) => mon.stats.errors += 1,
     }
-    mon.scratch.watched_rss.clear();
+    scratch.watched_rss.clear();
     shed
 }
 
 /// Round epilogue: `meminfo` and the snapshot feed.
-fn round_end<S: ShardSource>(mon: &mut Monitor, t_s: f64, src: &mut S) {
+fn round_end<S: ShardSource>(mon: &mut Monitor, watched_rss: &[(Pid, u64)], t_s: f64, src: &mut S) {
     let res = mon.config.resilience;
     let read = src.with_source(|s| {
         with_retry(
@@ -776,7 +807,7 @@ fn round_end<S: ShardSource>(mon: &mut Monitor, t_s: f64, src: &mut S) {
         )
     });
     match read {
-        Ok(mi) => mon.mem.observe(t_s, &mi, &mon.scratch.watched_rss),
+        Ok(mi) => mon.mem.observe(t_s, &mi, watched_rss),
         Err(_) => mon.stats.errors += 1,
     }
     if mon.feed.subscriber_count() > 0 {
@@ -853,12 +884,13 @@ fn build_list_jobs(mon: &Monitor, batches: &mut [ShardBatch], assign: &[usize]) 
     }
 }
 
-/// Folds trip 1 and plans trip 2. Runs the serial loop's list-outcome
-/// statements per watch in canonical order, then decides — driver-side,
-/// where the health state lives — which tids each shard must read:
-/// shed rounds keep only the main thread, quarantined tids are skipped
-/// (spending their re-probe counters exactly like the serial loop), and
-/// the delta gate's reference `schedstat` is attached where armed.
+/// Folds trip 1 and plans trip 2. Folds each watch's list outcome in
+/// canonical order (a vanished process is gone, any other failure
+/// skips the watch this round), then decides — driver-side, where the
+/// health state lives — which tids each shard must read: shed rounds
+/// keep only the main thread, quarantined tids are skipped (spending
+/// their re-probe counters), and the delta gate's reference
+/// `schedstat` is attached where armed.
 fn fold_lists_and_plan(
     mon: &mut Monitor,
     batches: &mut [ShardBatch],
@@ -896,12 +928,13 @@ fn fold_lists_and_plan(
         };
         let ShardBatch {
             lists,
+            lists_used,
             reads,
             reads_used,
             panicked,
             ..
         } = batch;
-        let Some(slot) = lists.get(*cursor) else {
+        let Some(slot) = lists.get(..*lists_used).and_then(|l| l.get(*cursor)) else {
             continue;
         };
         if slot.watch != i {
@@ -945,8 +978,13 @@ fn fold_lists_and_plan(
                 continue;
             }
             if w.health.should_skip(tid) {
+                // Quarantined after persistent failures; re-probed
+                // once per `reprobe_after` rounds.
                 continue;
             }
+            // The main thread is exempt from the delta gate: it carries
+            // the process-wide RSS, which moves without the thread
+            // running.
             let delta_prev = if delta_on && tid != pid && w.health.last_good(tid).is_some() {
                 w.last_schedstat.get(&tid).copied()
             } else {
@@ -968,18 +1006,18 @@ fn fold_lists_and_plan(
 }
 
 /// Folds trip 2 in canonical watch order: the drain. Per task slot it
-/// runs exactly the statements the serial per-tid loop would have —
-/// health accounting, the failure policy, series observation, the
-/// main-thread RSS tail — then runs the same shared end-of-round
-/// lifecycle sweep (`ProcessWatch::finish_round`) per watch. All
-/// counters fold by addition, so totals reconcile exactly against
-/// fault-injector logs, shard count notwithstanding.
+/// runs health accounting, the failure policy, series observation and
+/// the main-thread RSS tail, then the end-of-round lifecycle sweep
+/// (`ProcessWatch::finish_round`) per watch. All counters fold by
+/// addition, so totals reconcile exactly against fault-injector logs,
+/// shard count notwithstanding.
 fn fold_reads(
     mon: &mut Monitor,
     batches: &mut [ShardBatch],
     assign: &[usize],
     cur_l: &mut Vec<usize>,
     cur_r: &mut Vec<usize>,
+    watched_rss: &mut Vec<(Pid, u64)>,
     t_s: f64,
 ) {
     let res = mon.config.resilience;
@@ -989,10 +1027,7 @@ fn fold_reads(
     cur_r.clear();
     cur_r.extend(std::iter::repeat_n(0usize, batches.len()));
     let Monitor {
-        processes,
-        stats,
-        scratch,
-        ..
+        processes, stats, ..
     } = mon;
     for (i, w) in processes.iter_mut().enumerate() {
         let Some(&shard) = assign.get(i) else {
@@ -1003,10 +1038,16 @@ fn fold_reads(
         };
         let ShardBatch {
             lists,
+            lists_used,
             reads,
+            reads_used,
             panicked,
             ..
         } = batch;
+        // Only this round's slots: a slot past the used count holds an
+        // earlier round's results.
+        let lists = lists.get(..*lists_used).unwrap_or_default();
+        let reads = reads.get_mut(..*reads_used).unwrap_or_default();
         // Advance this shard's list cursor past this watch's slot (if
         // any) and capture it for `mark_exited`.
         let list_slot = match cur_l.get_mut(shard) {
@@ -1020,8 +1061,8 @@ fn fold_reads(
             None => None,
         };
         // Same for the read slot; watches whose list errored (or whose
-        // shard panicked) have none and fold nothing — including
-        // `mark_exited`, exactly like the serial `continue`.
+        // shard panicked) have none and fold nothing — not even
+        // `finish_round`.
         let ws = match cur_r.get_mut(shard) {
             Some(c) => match reads.get_mut(*c) {
                 Some(s) if s.watch == i => {
@@ -1042,56 +1083,55 @@ fn fold_reads(
         w.health.ledger.merge(&ws.ledger);
         for slot in ws.slots.iter().take(ws.slots_used) {
             let tid = slot.tid;
-            match slot.kind {
+            let interpolated;
+            let (stat, status, ss) = match slot.kind {
                 ReadKind::DeltaHit => {
                     if let (Some(ss), Some((stat, status))) = (slot.ss, w.health.last_good(tid)) {
                         stats.delta_hits += 1;
                         w.lwps
                             .observe_with_schedstat(pid, t_s, stat, status, Some(ss));
                     }
+                    continue;
                 }
                 ReadKind::Vanished => {
+                    // Thread exited between the directory listing and
+                    // the read: the normal race of §3.1.1.
                     stats.vanished += 1;
                     w.health.forget(tid);
                     w.last_schedstat.remove(&tid);
+                    continue;
                 }
                 ReadKind::Fresh => {
                     w.health.record_success(tid, &slot.stat, &slot.status);
                     if let Some(ss) = slot.ss {
                         w.last_schedstat.insert(tid, ss);
                     }
-                    if tid == pid {
-                        if w.cpus_allowed.is_empty() {
-                            w.cpus_allowed.copy_from(&slot.status.cpus_allowed);
-                        }
-                        w.rss_series.push((t_s, slot.status.vm_rss_kib));
-                        scratch.watched_rss.push((pid, slot.status.vm_rss_kib));
-                    }
-                    w.lwps
-                        .observe_with_schedstat(pid, t_s, &slot.stat, &slot.status, slot.ss);
+                    (&slot.stat, &slot.status, slot.ss)
                 }
                 ReadKind::Failed => {
                     stats.errors += 1;
                     match w.health.record_failure(tid, &res) {
+                        // Degraded: repeat the last good sample so the
+                        // time series stays continuous; the ledger flags
+                        // the substitution. Interpolated rounds report no
+                        // schedstat — a fresh schedstat against a stale
+                        // stat would skew wait deltas.
                         FailureAction::Interpolate(pair) => {
-                            let (stat, status) = *pair;
-                            if tid == pid {
-                                if w.cpus_allowed.is_empty() {
-                                    w.cpus_allowed.copy_from(&status.cpus_allowed);
-                                }
-                                w.rss_series.push((t_s, status.vm_rss_kib));
-                                scratch.watched_rss.push((pid, status.vm_rss_kib));
-                            }
-                            // Interpolated rounds report no schedstat —
-                            // a fresh schedstat against a stale stat
-                            // would skew wait deltas.
-                            w.lwps
-                                .observe_with_schedstat(pid, t_s, &stat, &status, None);
+                            interpolated = pair;
+                            (&interpolated.0, &interpolated.1, None)
                         }
-                        FailureAction::Drop => {}
+                        FailureAction::Drop => continue,
                     }
                 }
+            };
+            if tid == pid {
+                if w.cpus_allowed.is_empty() {
+                    w.cpus_allowed.copy_from(&status.cpus_allowed);
+                }
+                w.rss_series.push((t_s, status.vm_rss_kib));
+                watched_rss.push((pid, status.vm_rss_kib));
             }
+            w.lwps.observe_with_schedstat(pid, t_s, stat, status, ss);
         }
         w.finish_round(&list_slot.tids, max_exited);
     }
@@ -1170,18 +1210,28 @@ mod tests {
         mon
     }
 
-    /// Runs the serial monitor for `rounds`, returning it plus the
-    /// per-round feed snapshots.
-    fn run_serial(rounds: u64) -> (Monitor, Vec<crate::feed::SampleSnapshot>) {
+    /// Runs `sample` (the serial reference or `Monitor::sample`) for
+    /// `rounds`, returning the monitor plus the per-round feed
+    /// snapshots.
+    fn run_direct(
+        rounds: u64,
+        sample: fn(&mut Monitor, f64, &dyn ProcSource),
+    ) -> (Monitor, Vec<crate::feed::SampleSnapshot>) {
         let (mut sim, pids) = build_sim();
         let mut mon = monitor_for(&pids);
         let rx = mon.feed.subscribe(rounds as usize + 1);
         for r in 0..rounds {
             sim.run_for(400_000);
-            mon.sample((r + 1) as f64, &SimProcSource::new(&sim));
+            sample(&mut mon, (r + 1) as f64, &SimProcSource::new(&sim));
         }
         let snaps = rx.try_iter().map(|s| (*s).clone()).collect();
         (mon, snaps)
+    }
+
+    /// The retired serial loop: the oracle every pipeline shape must
+    /// match.
+    fn run_serial(rounds: u64) -> (Monitor, Vec<crate::feed::SampleSnapshot>) {
+        run_direct(rounds, crate::monitor::serial_reference::sample)
     }
 
     fn run_sharded(
@@ -1253,11 +1303,15 @@ mod tests {
 
     #[test]
     fn one_shard_inline_matches_serial() {
-        // Degenerate sharding (nshards=1) is exactly the serial loop
-        // run through the batch machinery.
+        // `Monitor::sample` is the one-shard inline round, and so is a
+        // one-shard `ShardedMonitor`: both fold exactly like the
+        // retired serial loop.
         let (serial, snaps_a) = run_serial(4);
-        let (sharded, snaps_b) = run_sharded(4, 1, ShardMode::Inline);
+        let (direct, snaps_b) = run_direct(4, |m, t, s| m.sample(t, s));
+        let (sharded, snaps_c) = run_sharded(4, 1, ShardMode::Inline);
         assert_eq!(snaps_a, snaps_b);
+        assert_eq!(snaps_a, snaps_c);
+        assert_identical(&serial, &direct);
         assert_identical(&serial, &sharded);
     }
 

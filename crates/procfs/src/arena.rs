@@ -1,10 +1,10 @@
 //! Batched raw-text reads: the per-shard record arena.
 //!
-//! The sharded sampling pump reads every record of its task slice into
-//! one [`ReadArena`] per round — a reusable text buffer that records
-//! land in back-to-back, addressed by [`ArenaSpan`]s — and parses the
-//! spans afterwards with the view parsers. Compared to the one-record
-//! `_into` reads the serial monitor uses, the arena batch:
+//! The monitor's sampling pump reads every record of its task slice
+//! into one [`ReadArena`] per round — a reusable text buffer that
+//! records land in back-to-back, addressed by [`ArenaSpan`]s — and
+//! parses the spans afterwards with the view parsers. Compared to the
+//! one-record typed `_into` reads, the arena batch:
 //!
 //! * performs **one `read` syscall per file** on the live backend (a
 //!   `read_to_string` loop costs at least two: one for the bytes, one

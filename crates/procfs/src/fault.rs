@@ -16,6 +16,8 @@
 //! ledger did not account for is a bug, which is precisely the property
 //! graceful degradation must prove.
 
+use crate::arena::{ArenaSpan, ReadArena};
+use crate::parse;
 use crate::source::{ProcSource, SourceError, SourceErrorKind, SourceResult};
 use crate::types::{MemInfo, Pid, SchedStat, SystemStat, TaskStat, TaskStatus, Tid};
 use std::cell::RefCell;
@@ -225,6 +227,10 @@ pub struct FaultInjector {
     /// is no — the common case for latency/error-only plans, where caching
     /// every successful read would clone every record the monitor samples.
     can_stale: bool,
+    /// Whether this plan injects nothing at all (no scripted faults, all
+    /// rates zero). Precomputed so a fault-free wrapper's pass-through
+    /// only counts the call.
+    quiet: bool,
     state: RefCell<InjState>,
 }
 
@@ -255,9 +261,15 @@ impl FaultInjector {
                 .scripted
                 .iter()
                 .any(|s| matches!(s.kind, FaultKind::Stale));
+        let zero = FaultRates::default();
+        let quiet = plan.scripted.is_empty()
+            && plan.default_rates == zero
+            && plan.per_op.iter().all(|(_, r)| *r == zero)
+            && plan.per_pid.iter().all(|(_, r)| *r == zero);
         FaultInjector {
             plan,
             can_stale,
+            quiet,
             state: RefCell::new(state),
         }
     }
@@ -346,6 +358,9 @@ impl FaultInjector {
     fn decide(&self, op: Op, pid: Pid, tid: Tid) -> Decision {
         let mut st = self.state.borrow_mut();
         st.calls += 1;
+        if self.quiet {
+            return Decision::Pass;
+        }
         let call = st.calls;
         let key = (op, pid, tid);
         // Scripted faults take absolute precedence.
@@ -518,44 +533,47 @@ impl FaultyProc<'_> {
     /// The `_into` twin of [`Self::run`]: `out` is threaded through the
     /// callbacks as an argument (never captured), so the borrow checker
     /// accepts one mutable record shared by the read and the stale-serve
-    /// paths. The argument count mirrors [`Self::run`] plus the output
+    /// paths. `R` is what a successful read returns besides filling
+    /// `out` — `()` for the typed forms, the span for the arena forms —
+    /// and `to_cache` may decline to cache (a record that does not
+    /// parse). The argument count mirrors [`Self::run`] plus the output
     /// slot and its cache adapters; splitting it would hide the symmetry.
     #[allow(clippy::too_many_arguments)]
-    fn run_into<T>(
+    fn run_into<T, R>(
         &self,
         op: Op,
         pid: Pid,
         tid: Tid,
         out: &mut T,
-        call: impl Fn(&dyn ProcSource, &mut T) -> SourceResult<()>,
-        to_cache: impl Fn(&T) -> CachedOk,
-        from_cache: impl Fn(&CachedOk, &mut T) -> bool,
-    ) -> SourceResult<()> {
+        call: impl Fn(&dyn ProcSource, &mut T) -> SourceResult<R>,
+        to_cache: impl Fn(&T, &R) -> Option<CachedOk>,
+        from_cache: impl Fn(&CachedOk, &mut T) -> Option<R>,
+    ) -> SourceResult<R> {
         match self.inj.decide(op, pid, tid) {
             Decision::Fail(e) => Err(e),
             Decision::Panic => panic!("FaultyProc: injected panic on {op:?}"),
             Decision::Stale => {
                 let hit = {
                     let st = self.inj.state.borrow();
-                    match st.cache.get(&(op, pid, tid)) {
-                        Some(c) => from_cache(c, out),
-                        None => false,
-                    }
+                    st.cache
+                        .get(&(op, pid, tid))
+                        .and_then(|c| from_cache(c, out))
                 };
-                if hit {
-                    Ok(())
-                } else {
+                match hit {
+                    Some(r) => Ok(r),
                     // Cache said present at decision time; if the variant
                     // mismatched somehow, fall back to a real read.
-                    call(self.inner, out)
+                    None => call(self.inner, out),
                 }
             }
             Decision::Pass => match call(self.inner, out) {
-                Ok(()) => {
+                Ok(r) => {
                     if self.inj.can_stale {
-                        self.inj.cache_ok(op, pid, tid, to_cache(out));
+                        if let Some(c) = to_cache(out, &r) {
+                            self.inj.cache_ok(op, pid, tid, c);
+                        }
                     }
-                    Ok(())
+                    Ok(r)
                 }
                 Err(e) => {
                     self.inj.log_passthrough(op, pid, tid, &e);
@@ -663,13 +681,13 @@ impl ProcSource for FaultyProc<'_> {
             0,
             out,
             |inner, out| inner.system_stat_into(out),
-            |v| CachedOk::System(v.clone()),
+            |v, _| Some(CachedOk::System(v.clone())),
             |c, out| match c {
                 CachedOk::System(v) => {
                     out.clone_from(v);
-                    true
+                    Some(())
                 }
-                _ => false,
+                _ => None,
             },
         )
     }
@@ -681,13 +699,13 @@ impl ProcSource for FaultyProc<'_> {
             0,
             out,
             |inner, out| inner.list_tasks_into(pid, out),
-            |v| CachedOk::Tasks(v.clone()),
+            |v, _| Some(CachedOk::Tasks(v.clone())),
             |c, out| match c {
                 CachedOk::Tasks(v) => {
                     out.clone_from(v);
-                    true
+                    Some(())
                 }
-                _ => false,
+                _ => None,
             },
         )
     }
@@ -699,13 +717,13 @@ impl ProcSource for FaultyProc<'_> {
             tid,
             out,
             |inner, out| inner.task_stat_into(pid, tid, out),
-            |v| CachedOk::Stat(v.clone()),
+            |v, _| Some(CachedOk::Stat(v.clone())),
             |c, out| match c {
                 CachedOk::Stat(v) => {
                     out.clone_from(v);
-                    true
+                    Some(())
                 }
-                _ => false,
+                _ => None,
             },
         )
     }
@@ -717,13 +735,67 @@ impl ProcSource for FaultyProc<'_> {
             tid,
             out,
             |inner, out| inner.task_status_into(pid, tid, out),
-            |v| CachedOk::Status(v.clone()),
+            |v, _| Some(CachedOk::Status(v.clone())),
             |c, out| match c {
                 CachedOk::Status(v) => {
                     out.clone_from(v);
-                    true
+                    Some(())
                 }
-                _ => false,
+                _ => None,
+            },
+        )
+    }
+
+    // The arena forms forward to the inner source's arena reads, so the
+    // sampling pump keeps the backend's fast path (one `read` on the
+    // live backend, direct rendering in the simulator) under the
+    // wrapper. The last-good cache holds typed records: a pass-through
+    // read is parsed into it only when the plan can serve stale reads,
+    // and a stale serve renders the cached record back to text.
+
+    fn task_stat_text(&self, pid: Pid, tid: Tid, arena: &mut ReadArena) -> SourceResult<ArenaSpan> {
+        self.run_into(
+            Op::TaskStat,
+            pid,
+            tid,
+            arena,
+            |inner, arena| inner.task_stat_text(pid, tid, arena),
+            |arena, span| {
+                let view = parse::parse_task_stat_view(arena.get(*span)?).ok()?;
+                Some(CachedOk::Stat(view.to_owned()))
+            },
+            |c, arena| match c {
+                CachedOk::Stat(v) => {
+                    arena.stat_scratch.clone_from(v);
+                    Some(arena.render_stat_scratch())
+                }
+                _ => None,
+            },
+        )
+    }
+
+    fn task_status_text(
+        &self,
+        pid: Pid,
+        tid: Tid,
+        arena: &mut ReadArena,
+    ) -> SourceResult<ArenaSpan> {
+        self.run_into(
+            Op::TaskStatus,
+            pid,
+            tid,
+            arena,
+            |inner, arena| inner.task_status_text(pid, tid, arena),
+            |arena, span| {
+                let text = arena.get(*span)?;
+                parse::parse_task_status(text).ok().map(CachedOk::Status)
+            },
+            |c, arena| match c {
+                CachedOk::Status(v) => {
+                    arena.status_scratch.clone_from(v);
+                    Some(arena.render_status_scratch())
+                }
+                _ => None,
             },
         )
     }
@@ -741,10 +813,10 @@ impl ProcSource for FaultyProc<'_> {
 ///
 /// Unlike [`FaultInjector`], the schedule is stateless and keyed on the
 /// tid alone, so it is independent of call order. That is what the
-/// serial-vs-sharded differential needs: the two engines read tasks in
-/// different orders and batch shapes, and any RNG-stream injector would
-/// desynchronise between them. Wrapping both engines in the same
-/// `ExitRace` guarantees they see byte-identical fault surfaces.
+/// one-shard-vs-N-shard differential needs: different shard counts
+/// read tasks in different orders and batch shapes, and any RNG-stream
+/// injector would desynchronise between them. Wrapping every run in the
+/// same `ExitRace` guarantees they see byte-identical fault surfaces.
 pub struct ExitRace<'a> {
     inner: &'a dyn ProcSource,
     modulus: u64,
@@ -830,12 +902,7 @@ impl ProcSource for ExitRace<'_> {
         self.inner.task_schedstat(pid, tid)
     }
 
-    fn task_stat_text(
-        &self,
-        pid: Pid,
-        tid: Tid,
-        arena: &mut crate::arena::ReadArena,
-    ) -> SourceResult<crate::arena::ArenaSpan> {
+    fn task_stat_text(&self, pid: Pid, tid: Tid, arena: &mut ReadArena) -> SourceResult<ArenaSpan> {
         if self.vanishes(pid, tid) {
             return Err(SourceError::NotFound);
         }
@@ -846,8 +913,8 @@ impl ProcSource for ExitRace<'_> {
         &self,
         pid: Pid,
         tid: Tid,
-        arena: &mut crate::arena::ReadArena,
-    ) -> SourceResult<crate::arena::ArenaSpan> {
+        arena: &mut ReadArena,
+    ) -> SourceResult<ArenaSpan> {
         if self.vanishes(pid, tid) {
             return Err(SourceError::NotFound);
         }
@@ -1212,6 +1279,53 @@ mod tests {
         f.task_stat_into(42, 42, &mut out).unwrap();
         assert!(out.utime > first_utime, "fresh reads advance again");
         assert_eq!(inj.total_calls(), 4);
+    }
+
+    #[test]
+    fn text_forms_follow_the_same_schedule_and_replay_stale() {
+        let src = TickSource::new();
+        let plan = FaultPlan {
+            seed: 1,
+            scripted: vec![
+                ScriptedFault {
+                    call: 2,
+                    kind: FaultKind::IoTransient,
+                },
+                ScriptedFault {
+                    call: 3,
+                    kind: FaultKind::Stale,
+                },
+            ],
+            ..Default::default()
+        };
+        let inj = FaultInjector::new(plan);
+        let f = inj.wrap(&src);
+        let mut arena = ReadArena::new();
+        let utime = |arena: &ReadArena, span| {
+            parse::parse_task_stat(arena.get(span).unwrap())
+                .unwrap()
+                .utime
+        };
+        let first = f.task_stat_text(42, 42, &mut arena).unwrap();
+        let first_utime = utime(&arena, first);
+        assert!(matches!(
+            f.task_stat_text(42, 42, &mut arena),
+            Err(SourceError::Io(_))
+        ));
+        // Call 3 renders the cached call-1 record into the arena.
+        let stale = f.task_stat_text(42, 42, &mut arena).unwrap();
+        assert_eq!(utime(&arena, stale), first_utime);
+        assert_eq!(inj.stale_count(), 1);
+        let fresh = f.task_stat_text(42, 42, &mut arena).unwrap();
+        assert!(utime(&arena, fresh) > first_utime);
+        // A stale-free plan forwards the inner text untouched and caches
+        // nothing.
+        let quiet = FaultInjector::new(FaultPlan::quiet(2));
+        let q = quiet.wrap(&src);
+        let span = q.task_status_text(42, 43, &mut arena).unwrap();
+        let status = parse::parse_task_status(arena.get(span).unwrap()).unwrap();
+        assert_eq!((status.tid, status.tgid), (43, 42));
+        assert!(quiet.state.borrow().cache.is_empty());
     }
 
     #[test]

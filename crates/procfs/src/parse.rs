@@ -207,7 +207,9 @@ impl TaskStatView<'_> {
 
 /// Parses one `/proc/<pid>/task/<tid>/stat` line without allocating: the
 /// returned view borrows `comm` from the input. Single pass over the
-/// post-comm fields — no token vector is collected.
+/// post-comm fields — no token vector is collected. Slices of the line
+/// are bounds-checked (`get`); the only index sites address the fixed
+/// picked-field array.
 pub fn parse_task_stat_view(line: &str) -> Result<TaskStatView<'_>, ParseError> {
     // Format: "tid (comm) S field4 field5 ..." where comm may contain
     // anything including ')' — find the *last* ')'.
@@ -220,18 +222,21 @@ pub fn parse_task_stat_view(line: &str) -> Result<TaskStatView<'_>, ParseError> 
     if close < open {
         return Err(err("task stat", "mismatched parentheses"));
     }
-    let tid: u32 = line[..open]
+    // `(`/`)` are ASCII, so both indices are char boundaries.
+    let tid: u32 = line
+        .get(..open)
+        .unwrap_or("")
         .trim()
         .parse()
         .map_err(|_| err("task stat", "bad tid"))?;
-    let comm = &line[open + 1..close];
+    let comm = line.get(open + 1..close).unwrap_or("");
     // Walk fields 3.. once, picking out the ones ZeroSum samples
     // (numbering per man 5 proc; the last one needed is 39).
     let mut state = None;
     let mut nice: i32 = 0;
     let mut picked = [0u64; 9];
     const FIELDS: [usize; 9] = [10, 12, 14, 15, 19, 20, 22, 36, 39];
-    let mut it = line[close + 1..].split_ascii_whitespace();
+    let mut it = line.get(close + 1..).unwrap_or("").split_ascii_whitespace();
     let mut field = 2usize;
     while field < 39 {
         field += 1;
@@ -269,7 +274,7 @@ pub fn parse_task_stat_view(line: &str) -> Result<TaskStatView<'_>, ParseError> 
     Ok(TaskStatView {
         tid,
         comm,
-        state: state.expect("field 3 visited"),
+        state: state.ok_or_else(|| err("task stat", "empty state"))?,
         minflt: picked[0],
         majflt: picked[1],
         utime: picked[2],
@@ -287,141 +292,21 @@ pub fn parse_task_stat(line: &str) -> Result<TaskStat, ParseError> {
     parse_task_stat_view(line).map(|v| v.to_owned())
 }
 
-/// Byte-scanning fast path for [`parse_task_stat_view`]: the sharded
-/// sampling pump's parser.
+/// Fast path for [`parse_task_stat_view`]: the sampling pump's parser.
 ///
 /// Same contract, same results — `fast(line) == view(line)` for every
 /// input, including the exact error text (the view-vs-owning
-/// differential test and a seeded fuzz differential enforce it). The
-/// speed comes from three structural changes, not looser validation:
-///
-/// * `comm` is located by a forward byte scan for `(` and a *reverse*
-///   byte scan for `)` (multi-byte UTF-8 never contains ASCII bytes,
-///   so byte positions equal `char` positions for both).
-/// * Fields 4..=39 are walked as byte runs; the ~28 fields ZeroSum
-///   does not sample are skipped without being parsed or validated as
-///   numbers (the reference parser pays an indexed-position lookup and
-///   nothing else for them either — but it tokenizes through
-///   `split_ascii_whitespace`'s char machinery).
-/// * The 9 sampled integers are accumulated by direct byte walk with
-///   checked arithmetic, accepting exactly what `u64`/`i32::from_str`
-///   accept (optional `+`/sign, ASCII digits, overflow is an error).
-///
-/// Every byte access is bounds-checked (`get`), so the fast path adds
-/// no panic-reachable sites to the sampling supervisor's frontier.
+/// differential test and a seeded fuzz differential enforce it). Lines
+/// in the single-space layout the kernel (and the simulator's
+/// renderer) actually emit take a byte walk that skips the ~28
+/// unsampled fields unparsed; any deviation — tabs, doubled spaces,
+/// control bytes, short lines, unparsable sampled fields — is handed
+/// to the reference parser, which owns the exact error semantics.
 pub fn parse_task_stat_view_fast(line: &str) -> Result<TaskStatView<'_>, ParseError> {
-    // Tier 1: the single-space layout the kernel (and the simulator's
-    // renderer) actually emits. Any deviation — tabs, doubled spaces,
-    // control bytes, short lines, unparsable sampled fields — falls
-    // through to the general tokenizer below, which owns the exact
-    // reference semantics including error text.
-    if let Some(v) = stat_view_single_space(line) {
-        return Ok(v);
+    match stat_view_single_space(line) {
+        Some(v) => Ok(v),
+        None => parse_task_stat_view(line),
     }
-    let bytes = line.as_bytes();
-    let open = bytes
-        .iter()
-        .position(|&b| b == b'(')
-        .ok_or_else(|| err("task stat", "missing '('"))?;
-    let close = bytes
-        .iter()
-        .rposition(|&b| b == b')')
-        .ok_or_else(|| err("task stat", "missing ')'"))?;
-    if close < open {
-        return Err(err("task stat", "mismatched parentheses"));
-    }
-    let tid: u32 = line
-        .get(..open)
-        .unwrap_or("")
-        .trim()
-        .parse()
-        .map_err(|_| err("task stat", "bad tid"))?;
-    let comm = line.get(open + 1..close).unwrap_or("");
-    let rest = bytes.get(close + 1..).unwrap_or(&[]);
-
-    let mut state = None;
-    let mut nice: i32 = 0;
-    let mut minflt = 0u64;
-    let mut majflt = 0u64;
-    let mut utime = 0u64;
-    let mut stime = 0u64;
-    let mut num_threads = 0u64;
-    let mut starttime = 0u64;
-    let mut nswap = 0u64;
-    let mut processor = 0u64;
-    let mut field = 2usize;
-    // Single pass over the post-comm tail. `slice::split` on the
-    // ASCII-whitespace class (empty segments skipped) tokenizes exactly
-    // like `split_ascii_whitespace`, but over bytes: no char decoding,
-    // no per-byte bounds checks, and the 28 unsampled fields fall
-    // through the match without being validated as numbers.
-    for tok in rest.split(|b: &u8| b.is_ascii_whitespace()) {
-        if tok.is_empty() {
-            continue;
-        }
-        field += 1;
-        match field {
-            3 => {
-                let state_ch = std::str::from_utf8(tok)
-                    .ok()
-                    .and_then(|s| s.chars().next())
-                    .ok_or_else(|| err("task stat", "empty state"))?;
-                state = Some(
-                    TaskState::from_code(state_ch)
-                        .ok_or_else(|| err("task stat", format!("unknown state {state_ch:?}")))?,
-                );
-            }
-            19 => nice = ascii_i32(tok).ok_or_else(|| err("task stat", "bad nice"))?,
-            10 | 12 | 14 | 15 | 20 | 22 | 36 | 39 => {
-                let v = ascii_u64(tok)
-                    .ok_or_else(|| err("task stat", format!("bad numeric field {field}")))?;
-                match field {
-                    10 => minflt = v,
-                    12 => majflt = v,
-                    14 => utime = v,
-                    15 => stime = v,
-                    20 => num_threads = v,
-                    22 => starttime = v,
-                    36 => nswap = v,
-                    _ => processor = v,
-                }
-            }
-            _ => {} // unsampled field: the token is skipped unparsed
-        }
-        if field == 39 {
-            break;
-        }
-    }
-    if field < 39 {
-        // Report the first *sampled* field that is missing, exactly
-        // like the reference parser.
-        const FIELDS: [usize; 9] = [10, 12, 14, 15, 19, 20, 22, 36, 39];
-        let next_field = field + 1;
-        let missing = if next_field <= 3 {
-            3
-        } else {
-            FIELDS
-                .iter()
-                .copied()
-                .find(|&f| f >= next_field)
-                .unwrap_or(39)
-        };
-        return Err(err("task stat", format!("missing field {missing}")));
-    }
-    Ok(TaskStatView {
-        tid,
-        comm,
-        state: state.ok_or_else(|| err("task stat", "empty state"))?,
-        minflt,
-        majflt,
-        utime,
-        stime,
-        nice,
-        num_threads: num_threads as u32,
-        starttime,
-        processor: processor as u32,
-        nswap,
-    })
 }
 
 /// Single-space happy path for [`parse_task_stat_view_fast`]: walks
@@ -429,8 +314,8 @@ pub fn parse_task_stat_view_fast(line: &str) -> Result<TaskStatView<'_>, ParseEr
 /// one `' '` (the layout `/proc` emits), with a two-compare inner
 /// byte loop instead of the five-way ASCII-whitespace class test.
 /// Returns `None` — never a wrong or partial result — on any input
-/// the assumption does not hold for, handing the line to the general
-/// tokenizer unchanged.
+/// the assumption does not hold for, handing the line to the reference
+/// parser unchanged.
 fn stat_view_single_space(line: &str) -> Option<TaskStatView<'_>> {
     let bytes = line.as_bytes();
     let open = bytes.iter().position(|&b| b == b'(')?;
@@ -440,7 +325,7 @@ fn stat_view_single_space(line: &str) -> Option<TaskStatView<'_>> {
     }
     // `ascii_u64` accepts a strict subset of `u32::from_str` after an
     // ASCII-only trim; anything it rejects (Unicode whitespace, signs,
-    // overflow) bails to the general prologue for the exact error.
+    // overflow) bails to the reference parser for the exact error.
     let tid_tok = ascii_trim(bytes.get(..open)?);
     let tid = ascii_u64(tid_tok).and_then(|v| u32::try_from(v).ok())?;
     // `(`/`)` are ASCII, so both indices are char boundaries.
@@ -995,13 +880,13 @@ SwapFree:              0 kB
             // so the capture and the differential can never drift apart.
             include_str!("../../../tests/fixtures/proc_pid_stat_vanished.txt").to_string(),
             // Single-space tier-1 deviations: each must bail to the
-            // general tokenizer, never change the result.
+            // reference parser, never change the result.
             basic.replace(' ', "\t"),
             basic.replace(") R", ")  R"),
             format!("{basic}\n"),
             format!(" {basic}"),
-            // Control byte inside a skipped token: the general
-            // tokenizer keeps it in the token unparsed and accepts.
+            // Control byte inside a skipped token: the reference
+            // parser keeps it in the token unparsed and accepts.
             basic.replace("51000", "51\u{1}000"),
             // Control byte inside a sampled token: both reject.
             basic.replace("123456789", "12\u{3}456789"),

@@ -96,7 +96,7 @@ else
     tcp_smoke
 fi
 
-echo "== shard differential (20 seeds serial vs sharded bit-identical, shard-scoped chaos isolation)"
+echo "== shard differential (20 seeds, 1 shard vs N shards inline and threads, bit-identical; shard-scoped chaos isolation)"
 cargo run -q --release -p zerosum-cli --bin zerosum -- shard-diff --seeds 20
 
 echo "== churn chaos soak (20 seeded open-system schedules + bit-repro witness)"
