@@ -22,6 +22,7 @@
 //! is a fixed-capacity ring that downsamples on wrap, so a million
 //! sampling rounds hold the same storage as a few thousand.
 
+use std::fmt::Write as _;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
 use zerosum_core::{Monitor, NodeState, ProcessInfo, ZeroSumConfig};
@@ -29,8 +30,8 @@ use zerosum_experiments::cluster_chaos::{
     run_cluster_chaos, run_cluster_chaos_with_plan, ClusterChaosOutcome,
 };
 use zerosum_proc::{
-    CpuTimes, MemInfo, Pid, ProcSource, SchedStat, SourceResult, SystemStat, TaskStat, TaskStatus,
-    Tid,
+    ArenaSpan, CpuTimes, MemInfo, Pid, ProcSource, ReadArena, SchedStat, SourceError, SourceResult,
+    SystemStat, TaskStat, TaskStatus, Tid,
 };
 use zerosum_sched::AllocationFaultPlan;
 use zerosum_topology::CpuSet;
@@ -286,6 +287,27 @@ impl ProcSource for SyntheticNode {
         })
     }
 
+    // The text forms write the same records as `/proc` text straight
+    // into the arena: one format call per record.
+    fn task_stat_text(
+        &self,
+        _pid: Pid,
+        tid: Tid,
+        arena: &mut ReadArena,
+    ) -> SourceResult<ArenaSpan> {
+        let (utime, stime) = (self.round * 80, self.round * 5);
+        arena
+            .try_append_with(|line| {
+                write!(
+                    line,
+                    "{tid} (drill) S 0 0 0 0 0 0 0 0 0 0 {utime} {stime} 0 0 20 0 2 0 1234 \
+                     0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 {} 0 0 0 0 0 0 0 0 0 0 0 0 0",
+                    tid % 2
+                )
+            })
+            .map_err(|_| SourceError::Malformed("drill stat render".into()))
+    }
+
     fn task_status(&self, _pid: Pid, tid: Tid) -> SourceResult<TaskStatus> {
         Ok(TaskStatus {
             name: "drill".to_string(),
@@ -299,6 +321,29 @@ impl ProcSource for SyntheticNode {
             nonvoluntary_ctxt_switches: self.round / 10,
             ..Default::default()
         })
+    }
+
+    fn task_status_text(
+        &self,
+        _pid: Pid,
+        tid: Tid,
+        arena: &mut ReadArena,
+    ) -> SourceResult<ArenaSpan> {
+        let r = self.round;
+        arena
+            .try_append_with(|text| {
+                write!(
+                    text,
+                    "Name:\tdrill\nState:\tS (sleeping)\nTgid:\t{}\nPid:\t{tid}\n\
+                     VmSize:\t200000 kB\nVmHWM:\t101000 kB\nVmRSS:\t{} kB\n\
+                     Cpus_allowed_list:\t0-1\nvoluntary_ctxt_switches:\t{r}\n\
+                     nonvoluntary_ctxt_switches:\t{}\n",
+                    self.pid,
+                    100_000 + r % 1_000,
+                    r / 10
+                )
+            })
+            .map_err(|_| SourceError::Malformed("drill status render".into()))
     }
 
     fn task_schedstat(&self, _pid: Pid, _tid: Tid) -> SourceResult<SchedStat> {
@@ -437,6 +482,20 @@ mod tests {
             reports.iter().any(|r| r.dead_at_end > 0),
             "no plan left a node dead"
         );
+    }
+
+    #[test]
+    fn synthetic_node_text_forms_match_its_records() {
+        let src = SyntheticNode { round: 7, pid: 40 };
+        let mut arena = ReadArena::new();
+        for tid in [40, 41] {
+            let span = src.task_stat_text(40, tid, &mut arena).unwrap();
+            let stat = zerosum_proc::parse::parse_task_stat(arena.get(span).unwrap()).unwrap();
+            assert_eq!(stat, src.task_stat(40, tid).unwrap());
+            let span = src.task_status_text(40, tid, &mut arena).unwrap();
+            let status = zerosum_proc::parse::parse_task_status(arena.get(span).unwrap()).unwrap();
+            assert_eq!(status, src.task_status(40, tid).unwrap());
+        }
     }
 
     #[test]

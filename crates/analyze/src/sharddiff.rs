@@ -1,11 +1,9 @@
 //! `zerosum shard-diff` — the sharded-ingestion equivalence gate.
 //!
-//! Every sampling round runs one plan → read → fold pipeline;
-//! `Monitor::sample` is its one-shard inline case, and the sharded
-//! engine ([`ShardedMonitor`]) splits the same round over N per-HWT-group
-//! shards, inline or on shard threads — claiming *bit-identical*
-//! aggregates whatever the shard count or mode. This module is that
-//! claim's CI gate, in two parts:
+//! `Monitor::sample` is the one-shard inline round of the sampling
+//! pipeline; [`ShardedMonitor`] splits the same round over N shards,
+//! claiming *bit-identical* aggregates whatever the shard count or
+//! mode. This module is that claim's CI gate, in two parts:
 //!
 //! 1. **Seeded differential** ([`run_shard_differential`]): for each
 //!    seed, build a randomized node (topology, rank count, thread
@@ -135,9 +133,9 @@ impl Scenario {
         let mut threads_per_rank = Vec::new();
         let mut work_us = Vec::new();
         for _ in 0..ranks {
-            threads_per_rank.push(1 + rng.below(5) as u32); // 1..=5
-                                                            // A third of the ranks finish mid-run, exercising the
-                                                            // vanish/exit fold path under sharding.
+            // 1..=5 threads; a third of the ranks finish mid-run,
+            // exercising the vanish/exit fold path under sharding.
+            threads_per_rank.push(1 + rng.below(5) as u32);
             let short = rng.below(3) == 0;
             work_us.push(if short {
                 200_000 + rng.below(400_000)
@@ -146,8 +144,9 @@ impl Scenario {
             });
         }
         let nshards = 1 + rng.below(4) as usize; // 1..=4
-                                                 // Both shard modes run on every seed. This draw once picked
-                                                 // one; it stays so every seed keeps its shape.
+
+        // Discarded draw: keeps every seed's later draws (rounds,
+        // cadence, layout) unchanged.
         rng.below(4);
         Scenario {
             ranks,

@@ -1087,10 +1087,7 @@ fn run_shard_diff(args: &[String]) -> i32 {
             },
             "--help" | "-h" => {
                 println!("usage: zerosum shard-diff [--seeds N]");
-                println!(
-                    "seeded differential: Monitor::sample (1 shard) vs N shards, inline and threads"
-                );
-                println!("mode, bit-identical; plus the one-faulted-shard chaos isolation drill");
+                println!("Monitor::sample (1 shard) vs N shards, inline and threads mode");
                 return 0;
             }
             other => {

@@ -1,53 +1,17 @@
 //! The sampling round: plan → read → fold, over one or N shards.
 //!
-//! Every sampling round — [`Monitor::sample`] and [`ShardedMonitor`]
-//! alike — runs the pipeline in this module. `Monitor::sample` is its
-//! one-shard inline case: the whole round on the calling thread.
-//! `ShardedMonitor` adds what N shards need on top: per-shard sources,
-//! the watch assignment, and (in [`ShardMode::Threads`]) the dispatch
-//! of batches to shard threads.
-//!
-//! * Watched processes are partitioned into per-HWT-group slices —
-//!   contiguous runs of the watch list ordered by first allowed CPU —
-//!   so each shard samples processes whose threads share hardware
-//!   threads (cache- and NUMA-friendly on a live node).
-//! * Each shard is a single-writer sampling pump: it reads task lists,
-//!   `schedstat`, and raw `stat`/`status` text into its batch's
-//!   [`ReadArena`], parses with the byte-scanning fast path
-//!   ([`parse::parse_task_stat_view_fast`]), and hands completed batches
-//!   back to the driver — in place (inline) or over a bounded SPSC swap
-//!   ring ([`zerosum_stats::ShardRing`]). Buffers recycle; the steady
-//!   state allocates nothing.
-//! * One driver thread plans rounds and folds results into the monitor
-//!   state (series, ledgers, governor) in canonical watch order. Parse
-//!   (shard side) and fold (driver side) never touch the same lock: the
-//!   only shared state is the ring slots themselves and, for the
-//!   simulated substrate, a reader-writer lock the shards only ever
-//!   read while the driver only writes strictly between rounds.
-//!
-//! A round is two trips through the shards:
-//!
-//! 1. **List**: shards read `/proc/<pid>/task` for their watches.
-//! 2. The driver folds the lists and *plans* the per-tid reads —
-//!    quarantine skips, shed rounds, and the delta-sampling gate are
-//!    all decided driver-side so shard results fold deterministically.
-//! 3. **Read**: shards execute the plan — `schedstat`, the delta
-//!    compare, then raw-text `stat`/`status` into the arena — recording
-//!    outcomes into per-task slots with a zeroed local health ledger.
-//! 4. The driver folds the slots in canonical watch order: series
-//!    observations, health accounting, RSS, and the snapshot feed.
-//!
-//! Source calls therefore run in the order: `/proc/stat`, every task
-//! list, the per-task reads watch by watch, `/proc/meminfo`.
-//!
-//! Every per-round counter is a sum and every fold runs in canonical
-//! watch order, so a round folds to *bit-identical* state whatever the
-//! shard count or mode (the differential harness in `zerosum-analyze`
-//! asserts this over seeds, and the in-crate tests compare against the
-//! retired serial loop kept as a test oracle). A panic inside a shard
-//! batch is caught at the batch boundary: that shard's watches lose
-//! one round (recorded as a supervisor gap), other shards' results and
-//! the node-scope reads fold normally.
+//! Every sampling round runs this pipeline. [`Monitor::sample`] is its
+//! one-shard inline case; [`ShardedMonitor`] adds per-shard sources,
+//! the per-HWT-group watch assignment and, in [`ShardMode::Threads`],
+//! dispatch over SPSC swap rings. A round is two trips through the
+//! shards — task lists, then the per-tid reads the driver planned
+//! (shed, quarantine, delta gate) — each folded driver-side in
+//! canonical watch order, so any shard count or mode folds to
+//! bit-identical state. Shard pumps read raw text into their batch's
+//! [`ReadArena`] and parse it with the fast parsers; a panic inside a
+//! batch costs only that batch's watches one round. Topology, the
+//! single-writer invariant, arena lifetimes and the call order are in
+//! DESIGN.md §13.
 
 use crate::health::{FailureAction, HealthLedger};
 use crate::monitor::{with_retry, Monitor};

@@ -227,10 +227,6 @@ pub struct FaultInjector {
     /// is no — the common case for latency/error-only plans, where caching
     /// every successful read would clone every record the monitor samples.
     can_stale: bool,
-    /// Whether this plan injects nothing at all (no scripted faults, all
-    /// rates zero). Precomputed so a fault-free wrapper's pass-through
-    /// only counts the call.
-    quiet: bool,
     state: RefCell<InjState>,
 }
 
@@ -261,15 +257,9 @@ impl FaultInjector {
                 .scripted
                 .iter()
                 .any(|s| matches!(s.kind, FaultKind::Stale));
-        let zero = FaultRates::default();
-        let quiet = plan.scripted.is_empty()
-            && plan.default_rates == zero
-            && plan.per_op.iter().all(|(_, r)| *r == zero)
-            && plan.per_pid.iter().all(|(_, r)| *r == zero);
         FaultInjector {
             plan,
             can_stale,
-            quiet,
             state: RefCell::new(state),
         }
     }
@@ -358,9 +348,6 @@ impl FaultInjector {
     fn decide(&self, op: Op, pid: Pid, tid: Tid) -> Decision {
         let mut st = self.state.borrow_mut();
         st.calls += 1;
-        if self.quiet {
-            return Decision::Pass;
-        }
         let call = st.calls;
         let key = (op, pid, tid);
         // Scripted faults take absolute precedence.
@@ -533,10 +520,8 @@ impl FaultyProc<'_> {
     /// The `_into` twin of [`Self::run`]: `out` is threaded through the
     /// callbacks as an argument (never captured), so the borrow checker
     /// accepts one mutable record shared by the read and the stale-serve
-    /// paths. `R` is what a successful read returns besides filling
-    /// `out` — `()` for the typed forms, the span for the arena forms —
-    /// and `to_cache` may decline to cache (a record that does not
-    /// parse). The argument count mirrors [`Self::run`] plus the output
+    /// paths; `R` is `()` for the typed forms and the span for the arena
+    /// forms. The argument count mirrors [`Self::run`] plus the output
     /// slot and its cache adapters; splitting it would hide the symmetry.
     #[allow(clippy::too_many_arguments)]
     fn run_into<T, R>(
@@ -669,10 +654,11 @@ impl ProcSource for FaultyProc<'_> {
         )
     }
 
-    // The `_into` overrides keep the wrapper allocation-free on the
-    // pass-through path: the inner source's buffer-reusing reads land
-    // directly in the caller's record, and the injector's decision logic
-    // runs identically (same call numbering, same log).
+    // The node-scope `_into` overrides keep the wrapper allocation-free
+    // on the pass-through path: the inner source's buffer-reusing reads
+    // land directly in the caller's record, and the injector's decision
+    // logic runs identically (same call numbering, same log). Per-task
+    // records go through the arena forms below.
 
     fn system_stat_into(&self, out: &mut SystemStat) -> SourceResult<()> {
         self.run_into(
@@ -710,48 +696,10 @@ impl ProcSource for FaultyProc<'_> {
         )
     }
 
-    fn task_stat_into(&self, pid: Pid, tid: Tid, out: &mut TaskStat) -> SourceResult<()> {
-        self.run_into(
-            Op::TaskStat,
-            pid,
-            tid,
-            out,
-            |inner, out| inner.task_stat_into(pid, tid, out),
-            |v, _| Some(CachedOk::Stat(v.clone())),
-            |c, out| match c {
-                CachedOk::Stat(v) => {
-                    out.clone_from(v);
-                    Some(())
-                }
-                _ => None,
-            },
-        )
-    }
-
-    fn task_status_into(&self, pid: Pid, tid: Tid, out: &mut TaskStatus) -> SourceResult<()> {
-        self.run_into(
-            Op::TaskStatus,
-            pid,
-            tid,
-            out,
-            |inner, out| inner.task_status_into(pid, tid, out),
-            |v, _| Some(CachedOk::Status(v.clone())),
-            |c, out| match c {
-                CachedOk::Status(v) => {
-                    out.clone_from(v);
-                    Some(())
-                }
-                _ => None,
-            },
-        )
-    }
-
-    // The arena forms forward to the inner source's arena reads, so the
-    // sampling pump keeps the backend's fast path (one `read` on the
-    // live backend, direct rendering in the simulator) under the
-    // wrapper. The last-good cache holds typed records: a pass-through
-    // read is parsed into it only when the plan can serve stale reads,
-    // and a stale serve renders the cached record back to text.
+    // The arena forms forward to the inner arena reads, keeping the
+    // backend's fast path under the wrapper. The last-good cache holds
+    // typed records: filled by parsing only when the plan can go stale,
+    // served by rendering back to text.
 
     fn task_stat_text(&self, pid: Pid, tid: Tid, arena: &mut ReadArena) -> SourceResult<ArenaSpan> {
         self.run_into(
@@ -874,25 +822,11 @@ impl ProcSource for ExitRace<'_> {
         self.inner.task_stat(pid, tid)
     }
 
-    fn task_stat_into(&self, pid: Pid, tid: Tid, out: &mut TaskStat) -> SourceResult<()> {
-        if self.vanishes(pid, tid) {
-            return Err(SourceError::NotFound);
-        }
-        self.inner.task_stat_into(pid, tid, out)
-    }
-
     fn task_status(&self, pid: Pid, tid: Tid) -> SourceResult<TaskStatus> {
         if self.vanishes(pid, tid) {
             return Err(SourceError::NotFound);
         }
         self.inner.task_status(pid, tid)
-    }
-
-    fn task_status_into(&self, pid: Pid, tid: Tid, out: &mut TaskStatus) -> SourceResult<()> {
-        if self.vanishes(pid, tid) {
-            return Err(SourceError::NotFound);
-        }
-        self.inner.task_status_into(pid, tid, out)
     }
 
     fn task_schedstat(&self, pid: Pid, tid: Tid) -> SourceResult<SchedStat> {

@@ -318,8 +318,10 @@ pub fn parse_task_stat_view_fast(line: &str) -> Result<TaskStatView<'_>, ParseEr
 /// parser unchanged.
 fn stat_view_single_space(line: &str) -> Option<TaskStatView<'_>> {
     let bytes = line.as_bytes();
-    let open = bytes.iter().position(|&b| b == b'(')?;
-    let close = bytes.iter().rposition(|&b| b == b')')?;
+    // memchr-backed scans, as in the reference parser: a byte-wise
+    // `rposition` walks the whole tail back to the `)`.
+    let open = line.find('(')?;
+    let close = line.rfind(')')?;
     if close < open {
         return None;
     }
